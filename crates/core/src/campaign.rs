@@ -938,12 +938,15 @@ impl Campaign {
                 return self.run_job_scenario(corpus, job, results, board, scenario);
             }
         }
-        if let Some(seq) = self.spec.sequential {
-            return self.run_job_sequential(corpus, job, results, limits, board, seq);
-        }
+        let mode = if self.spec.sequential.is_some() {
+            "sequential"
+        } else {
+            "fixed"
+        };
         let _span = clockmark_obs::span("campaign.job")
             .field("index", job.index)
-            .field("trace", job.trace.clone());
+            .field("trace", job.trace.clone())
+            .field("mode", mode);
         // Zero-copy where the platform provides it; the buffered reader
         // otherwise. Both stream bit-identical samples, so a campaign
         // resumed on a different platform (or with CLOCKMARK_NO_MMAP
@@ -958,25 +961,41 @@ impl Campaign {
             Some(session) => session,
             None => facade.detect_streaming(),
         };
+        // The checkpoint holds only the fold: a sequential schedule is
+        // re-derived from the spec and the restored cycle count, so a
+        // checkpoint written in either mode restores into whichever mode
+        // the spec now records.
+        if let Some(seq) = self.spec.sequential {
+            session = session.with_sequential(seq);
+        }
         // Replaying the consumed prefix (discarded, but still fed to the
         // CRC) keeps the end-of-trace integrity check meaningful.
         if session.cycles() > 0 {
             reader.skip_samples(session.cycles())?;
         }
 
+        // A sequential session that decides stops the loop: the rest of
+        // the trace is never read, and the session is never checkpointed
+        // or interrupted — its fold is frozen, so a resumed replay would
+        // re-derive checkpoints after the accepting one and run longer.
         let chunk = self.spec.chunk_cycles.max(1);
         let mut buf = vec![0.0f64; chunk];
         let mut since_checkpoint = 0u64;
         let mut ingested = 0u64;
-        loop {
+        let mut fully_read = false;
+        while !session.decided() {
             let got = reader.read_chunk(&mut buf)?;
             if got == 0 {
+                fully_read = true;
                 break;
             }
             session.push_chunk(&buf[..got]);
             since_checkpoint += got as u64;
             ingested += got as u64;
             board.note_cycles(got as u64);
+            if session.decided() {
+                break;
+            }
             if self.spec.checkpoint_cycles > 0 && since_checkpoint >= self.spec.checkpoint_cycles {
                 self.write_checkpoint(job, &session.state())?;
                 board.publish();
@@ -990,14 +1009,25 @@ impl Campaign {
                 }
             }
         }
-        let header = reader.finish()?; // full CRC validation
+        // The full-trace CRC runs only when the trace was fully read: an
+        // early stop cannot have checksummed the unread tail, and
+        // `JobOutcome::cycles` records the cycles the verdict consumed.
+        if fully_read {
+            reader.finish()?;
+        }
 
-        let result = session.result();
+        let verdict = session.finalize();
+        if verdict.early_stopped {
+            clockmark_obs::counter_add(
+                "campaign.cycles_saved",
+                trace_cycles.saturating_sub(verdict.cycles_consumed),
+            );
+        }
         let outcome = JobOutcome {
             index: job.index,
             trace: job.trace.clone(),
-            cycles: header.cycles,
-            result,
+            cycles: verdict.cycles_consumed,
+            result: verdict.result,
         };
         self.land_outcome(job, outcome, results, board)
     }
@@ -1065,99 +1095,6 @@ impl Campaign {
         self.land_outcome(job, outcome, results, board)
     }
 
-    /// Runs one job under the campaign's sequential early-termination
-    /// schedule. Identical ingest loop to [`run_job`](Self::run_job),
-    /// with three deliberate differences:
-    ///
-    /// - the loop breaks as soon as the session decides — the remaining
-    ///   samples are never read, which is the entire point;
-    /// - a decided session is never checkpointed and never "interrupted":
-    ///   its fold is frozen, so the only correct continuation is landing
-    ///   the outcome now (a resumed replay would re-derive checkpoints
-    ///   *after* the accepting one and run longer, breaking bit-identity);
-    /// - `reader.finish()` (the full-trace CRC) runs only when the trace
-    ///   was fully consumed — an early stop cannot have checksummed the
-    ///   unread tail, and [`JobOutcome::cycles`] records the cycles the
-    ///   verdict actually consumed instead of the trace length.
-    fn run_job_sequential(
-        &self,
-        corpus: &Corpus,
-        job: &JobSpec,
-        results: &Mutex<File>,
-        limits: &CampaignLimits,
-        board: &ProgressBoard,
-        seq: SequentialOptions,
-    ) -> Result<Option<JobOutcome>, CampaignError> {
-        let _span = clockmark_obs::span("campaign.job")
-            .field("index", job.index)
-            .field("trace", job.trace.clone())
-            .field("mode", "sequential");
-        let mut reader = corpus.source(&job.trace)?;
-        let trace_cycles = reader.header().cycles;
-        let facade = self.detector()?;
-        let mut session = match self.restore_sequential_checkpoint(&facade, job, trace_cycles, seq)
-        {
-            Some(session) => session,
-            None => facade.detect_sequential_streaming(seq),
-        };
-        if session.cycles() > 0 {
-            reader.skip_samples(session.cycles())?;
-        }
-
-        let chunk = self.spec.chunk_cycles.max(1);
-        let mut buf = vec![0.0f64; chunk];
-        let mut since_checkpoint = 0u64;
-        let mut ingested = 0u64;
-        let mut fully_read = false;
-        loop {
-            if session.decided() {
-                break;
-            }
-            let got = reader.read_chunk(&mut buf)?;
-            if got == 0 {
-                fully_read = true;
-                break;
-            }
-            session.push_chunk(&buf[..got]);
-            since_checkpoint += got as u64;
-            ingested += got as u64;
-            board.note_cycles(got as u64);
-            if session.decided() {
-                break;
-            }
-            if self.spec.checkpoint_cycles > 0 && since_checkpoint >= self.spec.checkpoint_cycles {
-                self.write_checkpoint(job, &session.state())?;
-                board.publish();
-                since_checkpoint = 0;
-            }
-            if let Some(limit) = limits.interrupt_job_after_cycles {
-                if ingested >= limit && reader.remaining() > 0 {
-                    self.write_checkpoint(job, &session.state())?;
-                    board.publish();
-                    return Ok(None);
-                }
-            }
-        }
-        if fully_read {
-            reader.finish()?; // full CRC validation
-        }
-
-        let sequential = session.finalize();
-        if sequential.early_stopped {
-            clockmark_obs::counter_add(
-                "campaign.cycles_saved",
-                trace_cycles.saturating_sub(sequential.cycles_consumed),
-            );
-        }
-        let outcome = JobOutcome {
-            index: job.index,
-            trace: job.trace.clone(),
-            cycles: sequential.cycles_consumed,
-            result: sequential.result,
-        };
-        self.land_outcome(job, outcome, results, board)
-    }
-
     /// Appends a finished job's durable result line and retires its
     /// checkpoint. Ordering matters: the result lands first, then the
     /// checkpoint drops. A crash in between reruns the job (harmless,
@@ -1198,83 +1135,34 @@ impl Campaign {
         )?)
     }
 
-    /// Restores a job's fold from its checkpoint, or `None` to start
+    /// Restores a job's session from its checkpoint, or `None` to start
     /// fresh. Any defect — wrong trace, wrong pattern, wrong spectrum
     /// kernel, impossible cycle count, corrupt bytes — discards the file:
     /// restarting a job is always safe (replay is bit-identical), trusting
-    /// a bad snapshot never is.
+    /// a bad snapshot never is. `resume_streaming` rejects a snapshot of
+    /// another pattern.
     fn restore_checkpoint(
         &self,
         facade: &Detector,
         job: &JobSpec,
         trace_cycles: u64,
     ) -> Option<StreamingDetection> {
-        let state = self.restore_checkpoint_state(job, trace_cycles)?;
-        match facade.resume_streaming(state) {
-            Ok(session) => Some(session),
-            Err(_) => {
-                self.discard_checkpoint(job);
-                None
-            }
-        }
-    }
-
-    /// [`restore_checkpoint`](Self::restore_checkpoint), rehydrated into a
-    /// sequential session. The checkpoint bytes carry only the fold
-    /// snapshot — the schedule is re-derived from `seq` and the absolute
-    /// cycle count, so fixed-budget and sequential resumes share one
-    /// on-disk format (and a checkpoint written by either mode restores
-    /// into whichever mode the spec now records).
-    fn restore_sequential_checkpoint(
-        &self,
-        facade: &Detector,
-        job: &JobSpec,
-        trace_cycles: u64,
-        seq: SequentialOptions,
-    ) -> Option<clockmark_cpa::SequentialDetection> {
-        let state = self.restore_checkpoint_state(job, trace_cycles)?;
-        match facade.resume_sequential(state, seq) {
-            Ok(session) => Some(session),
-            Err(_) => {
-                self.discard_checkpoint(job);
-                None
-            }
-        }
-    }
-
-    /// Reads and validates a job's checkpointed fold snapshot. Any
-    /// defect — wrong trace, wrong pattern, wrong spectrum kernel,
-    /// impossible cycle count, corrupt bytes — discards the file.
-    fn restore_checkpoint_state(
-        &self,
-        job: &JobSpec,
-        trace_cycles: u64,
-    ) -> Option<StreamingCpaState> {
         let path = self.checkpoint_path(job.index);
         let bytes = fs::read(&path).ok()?;
-        let state = decode_checkpoint(&bytes)
+        let session = decode_checkpoint(&bytes)
             .ok()
-            .and_then(|(index, trace, algo, state)| {
-                if index != job.index
-                    || trace != job.trace
-                    || algo != self.spec.algo
-                    || state.pattern != self.spec.pattern
-                    || state.cycles > trace_cycles
-                {
-                    return None;
-                }
-                Some(state)
-            });
-        if state.is_none() {
-            self.discard_checkpoint(job);
+            .filter(|(index, trace, algo, state)| {
+                *index == job.index
+                    && *trace == job.trace
+                    && *algo == self.spec.algo
+                    && state.cycles <= trace_cycles
+            })
+            .and_then(|(.., state)| facade.resume_streaming(state).ok());
+        if session.is_none() {
+            let _ = fs::remove_file(&path);
+            clockmark_obs::counter_add("campaign.checkpoints_discarded", 1);
         }
-        state
-    }
-
-    /// Drops a checkpoint that failed validation or rehydration.
-    fn discard_checkpoint(&self, job: &JobSpec) {
-        let _ = fs::remove_file(self.checkpoint_path(job.index));
-        clockmark_obs::counter_add("campaign.checkpoints_discarded", 1);
+        session
     }
 
     /// Snapshots a job's fold to disk (tmp + rename, so a kill mid-write
@@ -1424,8 +1312,10 @@ impl ProgressBoard {
     }
 }
 
-/// Writes `bytes` to `path` through a temp file + rename.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
+/// Writes `bytes` to `path` through a temp file + rename, so readers
+/// never observe a torn file. A process kill leaves either the old or
+/// the new contents; nothing is fsynced, so power loss may not.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, bytes)
         .map_err(|e| CampaignError::io(format!("writing {}", tmp.display()), e))?;

@@ -42,9 +42,10 @@ use std::error::Error;
 use std::fmt;
 
 use crate::rotational::{validate_inputs, FoldedTrace};
+use crate::sequential::SequentialEngine;
 use crate::{
-    CpaAlgo, CpaError, DetectionCriterion, DetectionResult, SpreadSpectrum, StreamingCpa,
-    StreamingCpaState,
+    CpaAlgo, CpaError, DetectionCriterion, DetectionResult, SequentialCheckpoint,
+    SequentialOptions, SequentialResult, SpreadSpectrum, StreamingCpa, StreamingCpaState,
 };
 
 /// Samples read per [`TraceInput::next_chunk`] call in
@@ -218,21 +219,17 @@ impl Detector {
     /// Opens a streaming session: feed cycles as they arrive, query the
     /// verdict whenever you like. The session pins this detector's kernel
     /// choice and criterion; its fold is bit-identical to the batch path
-    /// for the same samples.
+    /// for the same samples. Attach a stop rule with
+    /// [`StreamingDetection::with_sequential`] for early termination.
     pub fn detect_streaming(&self) -> StreamingDetection {
-        let mut inner =
+        let inner =
             StreamingCpa::new(&self.pattern).expect("pattern validated at Detector construction");
-        if let Some(algo) = self.options.algo {
-            inner = inner.with_algo(algo);
-        }
-        StreamingDetection {
-            inner,
-            criterion: self.options.criterion,
-        }
+        self.session(inner)
     }
 
     /// Re-opens a streaming session from a persisted fold snapshot — the
-    /// campaign engine's checkpoint-resume path.
+    /// campaign engine's checkpoint-resume path. A stop rule attached
+    /// afterwards derives its schedule from the restored cycle count.
     ///
     /// # Errors
     ///
@@ -252,55 +249,20 @@ impl Detector {
                 ),
             });
         }
-        let mut inner = StreamingCpa::from_state(state)?;
+        Ok(self.session(StreamingCpa::from_state(state)?))
+    }
+
+    /// Wraps a fold in a session pinned to this detector's kernel and
+    /// criterion.
+    fn session(&self, mut inner: StreamingCpa) -> StreamingDetection {
         if let Some(algo) = self.options.algo {
             inner = inner.with_algo(algo);
         }
-        Ok(StreamingDetection {
+        StreamingDetection {
             inner,
             criterion: self.options.criterion,
-        })
-    }
-
-    /// Opens a sequential early-termination session: a streaming fold
-    /// driven by `options`' checkpoint schedule that stops consuming as
-    /// soon as the acceptance rule fires (see
-    /// [`SequentialOptions`](crate::SequentialOptions) for the rule and
-    /// `docs/sequential.md` for the determinism contract). The session
-    /// pins this detector's kernel choice and criterion.
-    pub fn detect_sequential_streaming(
-        &self,
-        options: crate::SequentialOptions,
-    ) -> crate::SequentialDetection {
-        let mut inner =
-            StreamingCpa::new(&self.pattern).expect("pattern validated at Detector construction");
-        if let Some(algo) = self.options.algo {
-            inner = inner.with_algo(algo);
+            stop: None,
         }
-        crate::SequentialDetection::from_parts(inner, self.options.criterion, options)
-    }
-
-    /// Re-opens a sequential session from a persisted fold snapshot.
-    /// The checkpoint schedule needs no extra state: it is a pure
-    /// function of `options` and the absolute cycle count, so the
-    /// restored session evaluates exactly the checkpoints an
-    /// uninterrupted run would have from here on — the campaign
-    /// engine's byte-identical-resume contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`resume_streaming`](Self::resume_streaming).
-    pub fn resume_sequential(
-        &self,
-        state: StreamingCpaState,
-        options: crate::SequentialOptions,
-    ) -> Result<crate::SequentialDetection, CpaError> {
-        let session = self.resume_streaming(state)?;
-        Ok(crate::SequentialDetection::from_parts(
-            session.inner,
-            self.options.criterion,
-            options,
-        ))
     }
 
     /// Runs a sequential detection over an in-memory trace, consuming
@@ -317,10 +279,10 @@ impl Detector {
     pub fn detect_sequential(
         &self,
         y: &[f64],
-        options: crate::SequentialOptions,
-    ) -> Result<crate::SequentialResult, CpaError> {
+        options: SequentialOptions,
+    ) -> Result<SequentialResult, CpaError> {
         validate_inputs(&self.pattern, y)?;
-        let mut session = self.detect_sequential_streaming(options);
+        let mut session = self.detect_streaming().with_sequential(options);
         for chunk in y.chunks(TRACE_CHUNK) {
             session.push_chunk(chunk);
             if session.decided() {
@@ -422,28 +384,91 @@ impl Detector {
     }
 }
 
-/// A streaming detection session opened by
-/// [`Detector::detect_streaming`]: a [`StreamingCpa`] fold pinned to the
-/// detector's kernel choice, paired with its decision criterion.
+/// The detection session: a [`StreamingCpa`] fold pinned to the
+/// detector's kernel choice, its decision criterion and an optional
+/// sequential stop rule. Opened by [`Detector::detect_streaming`] (or
+/// resumed by [`Detector::resume_streaming`]), fed with
+/// [`push_chunk`](Self::push_chunk), finished with
+/// [`finalize`](Self::finalize) or queried any time with
+/// [`result`](Self::result).
+///
+/// Without a stop rule the session is a fixed-budget detect: it never
+/// decides early and its [`finalize`](Self::finalize) verdict is
+/// bit-identical to [`result`](Self::result). With one
+/// ([`with_sequential`](Self::with_sequential)) it evaluates the prefix
+/// spectrum at every checkpoint of the schedule; once it decides — the
+/// acceptance rule fires or the
+/// [`max_cycles`](SequentialOptions::max_cycles) budget runs out —
+/// further input is ignored and [`cycles`](Self::cycles) freezes at the
+/// cycles the verdict consumed, so chunks after the decision cost
+/// nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingDetection {
     inner: StreamingCpa,
     criterion: DetectionCriterion,
+    stop: Option<SequentialEngine>,
 }
 
 impl StreamingDetection {
+    /// Attaches a sequential stop rule (see [`SequentialOptions`] for the
+    /// acceptance rule and `docs/sequential.md` for the determinism
+    /// contract). The checkpoint schedule is derived from the session's
+    /// current cycle count, so a session resumed from a snapshot
+    /// evaluates exactly the checkpoints an uninterrupted run would have
+    /// from here on.
+    #[must_use]
+    pub fn with_sequential(mut self, options: SequentialOptions) -> Self {
+        self.stop = Some(SequentialEngine::new(options, &self.inner));
+        self
+    }
+
     /// Feeds one measured cycle.
     pub fn push(&mut self, y: f64) {
-        self.inner.push(y);
+        self.push_chunk(std::slice::from_ref(&y));
     }
 
     /// Bulk-ingests a chunk of cycles, bit-identical to per-cycle
-    /// [`push`](Self::push).
+    /// [`push`](Self::push). With a stop rule the chunk is split at
+    /// checkpoint boundaries, so chunking never changes the outcome;
+    /// input past a decision is ignored.
     pub fn push_chunk(&mut self, ys: &[f64]) {
-        self.inner.push_chunk(ys);
+        match &mut self.stop {
+            Some(stop) => stop.push_chunk(&mut self.inner, &self.criterion, ys),
+            None => self.inner.push_chunk(ys),
+        }
     }
 
-    /// Cycles consumed so far.
+    /// Whether the stop rule has rendered its verdict (early accept or
+    /// exhausted budget) and stopped folding. Always `false` without a
+    /// stop rule.
+    pub fn decided(&self) -> bool {
+        self.stop.as_ref().is_some_and(SequentialEngine::decided)
+    }
+
+    /// The checkpoints the stop rule evaluated so far (none without one).
+    pub fn checkpoints(&self) -> &[SequentialCheckpoint] {
+        self.stop
+            .as_ref()
+            .map_or(&[], SequentialEngine::checkpoints)
+    }
+
+    /// The session outcome (see [`SequentialResult`]): the stop rule's
+    /// early verdict if one fired, otherwise [`result`](Self::result) on
+    /// everything consumed. Callable at any point; before one full
+    /// period it reports the conservative not-detected verdict.
+    pub fn finalize(&self) -> SequentialResult {
+        match &self.stop {
+            Some(stop) => stop.finalize(&self.inner, &self.criterion),
+            None => SequentialResult {
+                result: self.result(),
+                cycles_consumed: self.cycles(),
+                early_stopped: false,
+                checkpoints: Vec::new(),
+            },
+        }
+    }
+
+    /// Cycles consumed so far; frozen once [`decided`](Self::decided).
     pub fn cycles(&self) -> u64 {
         self.inner.cycles()
     }

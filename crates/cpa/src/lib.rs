@@ -81,9 +81,7 @@ pub use identify::{CandidatePattern, CandidateScore, Identification};
 pub use parallel::thread_count;
 pub use pearson::pearson;
 pub use rotational::SpreadSpectrum;
-pub use sequential::{
-    SequentialCheckpoint, SequentialDetection, SequentialOptions, SequentialResult,
-};
+pub use sequential::{SequentialCheckpoint, SequentialOptions, SequentialResult};
 pub use significance::{normal_cdf, peak_false_positive_probability};
 pub use stats::{BoxPlotStats, RotationEnsemble};
 pub use streaming::{StreamingCpa, StreamingCpaState};

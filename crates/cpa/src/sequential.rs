@@ -7,7 +7,9 @@
 //! [`SequentialOptions::base_cycles`] cycles scaled by
 //! [`SequentialOptions::growth`] — and stops consuming the stream as soon
 //! as the acceptance rule fires, reporting how many cycles the verdict
-//! actually needed.
+//! actually needed. The rule is the optional stop rule of the one
+//! detection session, attached with
+//! [`StreamingDetection::with_sequential`](crate::StreamingDetection::with_sequential).
 //!
 //! The acceptance rule at a checkpoint with `cycles` consumed:
 //!
@@ -91,8 +93,7 @@ impl Default for SequentialOptions {
 }
 
 impl SequentialOptions {
-    /// An arithmetic schedule checking every `interval` cycles — the
-    /// shape the legacy `run_until_detected(check_interval)` loop used.
+    /// An arithmetic schedule checking every `interval` cycles.
     pub fn every(interval: u64) -> Self {
         SequentialOptions {
             base_cycles: interval.max(1),
@@ -207,32 +208,28 @@ pub struct SequentialResult {
     pub checkpoints: Vec<SequentialCheckpoint>,
 }
 
-/// The schedule/decision state of a sequential session, factored out so
-/// both the owning [`SequentialDetection`] session and the legacy
-/// iterator-driven `run_until_detected` loop share one engine.
-#[derive(Debug, Clone)]
+/// The stop rule of a [`StreamingDetection`](crate::StreamingDetection):
+/// the checkpoint schedule, the early-accept gates and the decision
+/// once one is rendered. The fold and the criterion live in the session.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SequentialEngine {
-    criterion: DetectionCriterion,
     options: SequentialOptions,
     /// Effective early-accept floor: `max(min_cycles, 4 × period)`.
     min_accept: u64,
     /// Next schedule point, `None` once the budget is exhausted.
-    pub(crate) next_checkpoint: Option<u64>,
+    next_checkpoint: Option<u64>,
     trail: Vec<SequentialCheckpoint>,
     verdict: Option<DetectionResult>,
     early: bool,
 }
 
 impl SequentialEngine {
-    pub(crate) fn new(
-        options: SequentialOptions,
-        criterion: DetectionCriterion,
-        inner: &StreamingCpa,
-    ) -> Self {
+    /// A stop rule whose schedule starts after `inner`'s current cycle
+    /// count.
+    pub(crate) fn new(options: SequentialOptions, inner: &StreamingCpa) -> Self {
         let min_accept = options.min_cycles.max(4 * inner.period() as u64);
         let next_checkpoint = options.next_checkpoint_after(inner.cycles());
         SequentialEngine {
-            criterion,
             options,
             min_accept,
             next_checkpoint,
@@ -250,12 +247,17 @@ impl SequentialEngine {
     /// every evaluation happens at an exact schedule point regardless of
     /// how the caller chunks the stream. Input past a decision (accept
     /// or exhausted budget) is ignored.
-    pub(crate) fn push_chunk(&mut self, inner: &mut StreamingCpa, ys: &[f64]) {
+    pub(crate) fn push_chunk(
+        &mut self,
+        inner: &mut StreamingCpa,
+        criterion: &DetectionCriterion,
+        ys: &[f64],
+    ) {
         let mut rest = ys;
         while !rest.is_empty() && self.verdict.is_none() {
             let cycles = inner.cycles();
             if self.options.max_cycles.is_some_and(|max| cycles >= max) {
-                self.exhaust_budget(inner);
+                self.exhaust_budget(inner, criterion);
                 return;
             }
             let mut take = rest.len() as u64;
@@ -271,14 +273,14 @@ impl SequentialEngine {
 
             let cycles = inner.cycles();
             if self.next_checkpoint == Some(cycles) {
-                self.checkpoint_now(inner);
+                self.checkpoint_now(inner, criterion);
                 if self.verdict.is_some() {
                     return;
                 }
                 self.next_checkpoint = self.options.next_checkpoint_after(cycles);
             }
             if self.options.max_cycles == Some(cycles) {
-                self.exhaust_budget(inner);
+                self.exhaust_budget(inner, criterion);
                 return;
             }
         }
@@ -286,7 +288,7 @@ impl SequentialEngine {
 
     /// Evaluates the prefix spectrum at the current cycle count and
     /// applies the acceptance rule, recording a trail entry either way.
-    fn checkpoint_now(&mut self, inner: &StreamingCpa) -> bool {
+    fn checkpoint_now(&mut self, inner: &StreamingCpa, criterion: &DetectionCriterion) {
         let cycles = inner.cycles();
         let Ok(spectrum) = inner.spectrum() else {
             // Below one period there is no spectrum to judge.
@@ -296,9 +298,9 @@ impl SequentialEngine {
                 peak_rho: 0.0,
                 p_value: 1.0,
             });
-            return false;
+            return;
         };
-        let result = self.criterion.evaluate(&spectrum);
+        let result = criterion.evaluate(&spectrum);
         let p_value = spectrum.peak_p_value(cycles as usize);
         let accepted = result.detected
             && cycles >= self.min_accept
@@ -313,32 +315,35 @@ impl SequentialEngine {
             self.verdict = Some(result);
             self.early = true;
         }
-        accepted
     }
 
     /// Renders the fixed-budget verdict at the consumption cap. If the
     /// cap coincided with a (rejecting) checkpoint the trail entry is
     /// already there; otherwise evaluate one final checkpoint first so
     /// the trail records where the budget ran out.
-    fn exhaust_budget(&mut self, inner: &StreamingCpa) {
+    fn exhaust_budget(&mut self, inner: &StreamingCpa, criterion: &DetectionCriterion) {
         if self.verdict.is_some() {
             return;
         }
         if self.trail.last().map(|c| c.cycles) != Some(inner.cycles()) {
-            self.checkpoint_now(inner);
+            self.checkpoint_now(inner, criterion);
         }
         if self.verdict.is_none() {
-            self.verdict = Some(inner.detect(&self.criterion));
+            self.verdict = Some(inner.detect(criterion));
             self.early = false;
         }
     }
 
     /// The session outcome: the early verdict if one fired, otherwise
     /// the classic fixed-budget evaluation of everything consumed.
-    pub(crate) fn finalize(&self, inner: &StreamingCpa) -> SequentialResult {
+    pub(crate) fn finalize(
+        &self,
+        inner: &StreamingCpa,
+        criterion: &DetectionCriterion,
+    ) -> SequentialResult {
         let (result, early_stopped) = match self.verdict {
             Some(result) => (result, self.early),
-            None => (inner.detect(&self.criterion), false),
+            None => (inner.detect(criterion), false),
         };
         SequentialResult {
             result,
@@ -350,83 +355,6 @@ impl SequentialEngine {
 
     pub(crate) fn checkpoints(&self) -> &[SequentialCheckpoint] {
         &self.trail
-    }
-}
-
-/// An in-flight sequential detection session: a [`StreamingCpa`] fold
-/// driven by a checkpoint schedule. Built by
-/// [`Detector::detect_sequential_streaming`](crate::Detector::detect_sequential_streaming)
-/// (or resumed by
-/// [`Detector::resume_sequential`](crate::Detector::resume_sequential)),
-/// fed with [`push_chunk`](Self::push_chunk), finished with
-/// [`finalize`](Self::finalize).
-///
-/// Once the session decides — the acceptance rule fires at a checkpoint
-/// or the [`max_cycles`](SequentialOptions::max_cycles) budget runs out —
-/// further input is ignored and [`cycles`](Self::cycles) freezes at the
-/// cycles the verdict consumed, which is where the serve path's CPU
-/// savings come from: chunks after the decision cost nothing.
-#[derive(Debug, Clone)]
-pub struct SequentialDetection {
-    inner: StreamingCpa,
-    engine: SequentialEngine,
-}
-
-impl SequentialDetection {
-    pub(crate) fn from_parts(
-        inner: StreamingCpa,
-        criterion: DetectionCriterion,
-        options: SequentialOptions,
-    ) -> Self {
-        let engine = SequentialEngine::new(options, criterion, &inner);
-        SequentialDetection { inner, engine }
-    }
-
-    /// Folds a chunk of trace samples, evaluating any checkpoints the
-    /// chunk crosses. Input past a decision is ignored.
-    pub fn push_chunk(&mut self, ys: &[f64]) {
-        self.engine.push_chunk(&mut self.inner, ys);
-    }
-
-    /// Whether the session has rendered its verdict (early accept or
-    /// exhausted budget) and stopped folding.
-    pub fn decided(&self) -> bool {
-        self.engine.decided()
-    }
-
-    /// Cycles folded so far; frozen once [`decided`](Self::decided).
-    pub fn cycles(&self) -> u64 {
-        self.inner.cycles()
-    }
-
-    /// The watermark period.
-    pub fn period(&self) -> usize {
-        self.inner.period()
-    }
-
-    /// The checkpoints evaluated so far.
-    pub fn checkpoints(&self) -> &[SequentialCheckpoint] {
-        self.engine.checkpoints()
-    }
-
-    /// Snapshot of the fold accumulators, resumable via
-    /// [`Detector::resume_sequential`](crate::Detector::resume_sequential).
-    /// The schedule needs no extra state: it is re-derived from the
-    /// options and the cycle count on restore.
-    pub fn state(&self) -> crate::StreamingCpaState {
-        self.inner.state()
-    }
-
-    /// The underlying fold session.
-    pub fn inner(&self) -> &StreamingCpa {
-        &self.inner
-    }
-
-    /// The session outcome (see [`SequentialResult`]). Callable at any
-    /// point; before any input it reports the conservative
-    /// not-detected verdict on zero cycles.
-    pub fn finalize(&self) -> SequentialResult {
-        self.engine.finalize(&self.inner)
     }
 }
 
@@ -654,7 +582,7 @@ mod tests {
         let y = noisy_trace(&pattern, 40_000, 0, 0.0, 2.0, 5);
         let detector = Detector::new(&pattern).expect("valid");
         let options = SequentialOptions::default().with_max_cycles(9_000);
-        let mut session = detector.detect_sequential_streaming(options);
+        let mut session = detector.detect_streaming().with_sequential(options);
         session.push_chunk(&y);
         assert!(session.decided());
         assert_eq!(session.cycles(), 9_000);
@@ -678,12 +606,12 @@ mod tests {
         let options = SequentialOptions::default().with_base_cycles(700);
 
         let whole = {
-            let mut s = detector.detect_sequential_streaming(options);
+            let mut s = detector.detect_streaming().with_sequential(options);
             s.push_chunk(&y);
             s.finalize()
         };
         for chunk_size in [1usize, 97, 1024, 8192] {
-            let mut s = detector.detect_sequential_streaming(options);
+            let mut s = detector.detect_streaming().with_sequential(options);
             for chunk in y.chunks(chunk_size) {
                 s.push_chunk(chunk);
                 if s.decided() {
@@ -712,19 +640,20 @@ mod tests {
         let options = SequentialOptions::default().with_base_cycles(1024);
 
         let whole = {
-            let mut s = detector.detect_sequential_streaming(options);
+            let mut s = detector.detect_streaming().with_sequential(options);
             s.push_chunk(&y);
             s.finalize()
         };
         for cut in [1usize, 1000, 1024, 5000, 8191] {
-            let mut first = detector.detect_sequential_streaming(options);
+            let mut first = detector.detect_streaming().with_sequential(options);
             first.push_chunk(&y[..cut]);
             if first.decided() {
                 continue; // nothing left to resume
             }
             let mut resumed = detector
-                .resume_sequential(first.state(), options)
-                .expect("valid state");
+                .resume_streaming(first.state())
+                .expect("valid state")
+                .with_sequential(options);
             resumed.push_chunk(&y[cut..]);
             let outcome = resumed.finalize();
             assert_eq!(outcome.cycles_consumed, whole.cycles_consumed, "cut {cut}");

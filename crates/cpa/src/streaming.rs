@@ -1,7 +1,4 @@
-use crate::sequential::SequentialEngine;
-use crate::{
-    CpaAlgo, CpaError, DetectionCriterion, DetectionResult, SequentialOptions, SpreadSpectrum,
-};
+use crate::{CpaAlgo, CpaError, DetectionCriterion, DetectionResult, SpreadSpectrum};
 
 /// An incremental rotational-CPA detector.
 ///
@@ -262,51 +259,6 @@ impl StreamingCpa {
         Ok(detector)
     }
 
-    /// Consumes cycles from an iterator until the criterion is satisfied
-    /// (checking every `check_interval` cycles) or the iterator ends.
-    /// Returns the cycle count at detection, or `None` if the stream ended
-    /// undetected.
-    ///
-    /// This is the arithmetic-schedule special case of the sequential
-    /// engine (see [`SequentialOptions::every`]): cycles are buffered and
-    /// folded in checkpoint-aligned chunks (the vectorized
-    /// [`push_chunk`](Self::push_chunk) path, reusing the per-thread FFT
-    /// plan and SoA scratch) instead of the historical per-cycle push
-    /// with a from-scratch spectrum at every interval. The engine's
-    /// four-period early-accept floor applies: a checkpoint earlier than
-    /// `4 × period` cycles never stops the stream, guarding against
-    /// degenerate accepts on tiny prefixes. The end-of-stream evaluation
-    /// is the plain criterion, exactly as before.
-    pub fn run_until_detected<I: IntoIterator<Item = f64>>(
-        &mut self,
-        ys: I,
-        criterion: &DetectionCriterion,
-        check_interval: u64,
-    ) -> Option<u64> {
-        let options = SequentialOptions::every(check_interval);
-        let mut engine = SequentialEngine::new(options, *criterion, self);
-        let mut buf: Vec<f64> = Vec::with_capacity(1024);
-        for y in ys {
-            buf.push(y);
-            // Flush exactly at checkpoints (so a decision stops the
-            // iterator without over-consuming) and at a chunk bound.
-            let at_checkpoint = engine.next_checkpoint == Some(self.cycles + buf.len() as u64);
-            if at_checkpoint || buf.len() >= 8192 {
-                engine.push_chunk(self, &buf);
-                buf.clear();
-                if engine.decided() {
-                    return Some(self.cycles);
-                }
-            }
-        }
-        engine.push_chunk(self, &buf);
-        if engine.decided() || self.detect(criterion).detected {
-            Some(self.cycles)
-        } else {
-            None
-        }
-    }
-
     /// Scores many candidate patterns against this fold at once and
     /// ranks them — the identification workload. The fold depends only
     /// on the period, so any session of the right period can answer for
@@ -424,18 +376,28 @@ mod tests {
         }
     }
 
+    /// Cycles a sequential session with an every-period schedule reads
+    /// before it stops, or `None` if its final verdict is "absent".
+    fn cycles_until_detected(pattern: &[bool], y: &[f64]) -> Option<u64> {
+        let outcome = Detector::new(pattern)
+            .expect("valid")
+            .detect_sequential(y, crate::SequentialOptions::every(127))
+            .expect("valid");
+        outcome.result.detected.then_some(outcome.cycles_consumed)
+    }
+
     #[test]
     fn early_stopping_detects_before_the_stream_ends() {
         let pattern = m_sequence_pattern();
         let y = noisy_trace(&pattern, 20_000, 41, 1.0, 2.0, 2);
-        let mut streaming = StreamingCpa::new(&pattern).expect("valid");
-        let stopped_at = streaming
-            .run_until_detected(y.iter().copied(), &DetectionCriterion::default(), 127)
-            .expect("strong watermark must be found");
+        let stopped_at =
+            cycles_until_detected(&pattern, &y).expect("strong watermark must be found");
         assert!(
             stopped_at < 20_000,
             "early stop at {stopped_at} should beat the full trace"
         );
+        let mut streaming = StreamingCpa::new(&pattern).expect("valid");
+        streaming.push_chunk(&y[..stopped_at as usize]);
         assert_eq!(
             streaming
                 .detect(&DetectionCriterion::default())
@@ -447,19 +409,9 @@ mod tests {
     #[test]
     fn weak_watermark_needs_more_cycles_than_strong() {
         let pattern = m_sequence_pattern();
-        let criterion = DetectionCriterion::default();
-        let strong = {
-            let y = noisy_trace(&pattern, 60_000, 10, 1.0, 2.0, 3);
-            StreamingCpa::new(&pattern)
-                .expect("valid")
-                .run_until_detected(y, &criterion, 127)
-        };
-        let weak = {
-            let y = noisy_trace(&pattern, 60_000, 10, 0.3, 2.0, 3);
-            StreamingCpa::new(&pattern)
-                .expect("valid")
-                .run_until_detected(y, &criterion, 127)
-        };
+        let strong =
+            cycles_until_detected(&pattern, &noisy_trace(&pattern, 60_000, 10, 1.0, 2.0, 3));
+        let weak = cycles_until_detected(&pattern, &noisy_trace(&pattern, 60_000, 10, 0.3, 2.0, 3));
         let strong = strong.expect("strong detects");
         let weak = weak.expect("weak detects eventually");
         assert!(weak > strong, "weak {weak} vs strong {strong}");
@@ -469,11 +421,7 @@ mod tests {
     fn absent_watermark_never_stops_early() {
         let pattern = m_sequence_pattern();
         let y = noisy_trace(&pattern, 30_000, 0, 0.0, 2.0, 4);
-        let mut streaming = StreamingCpa::new(&pattern).expect("valid");
-        assert_eq!(
-            streaming.run_until_detected(y, &DetectionCriterion::default(), 127),
-            None
-        );
+        assert_eq!(cycles_until_detected(&pattern, &y), None);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 use crate::error::FleetError;
 use crate::hash::Ring;
 use crate::plan::{shard_dir, shard_spec, FleetPlan};
+use clockmark::campaign::write_atomic;
 use clockmark::{Campaign, CampaignProgress, CampaignSpec, JobOutcome};
 use clockmark_corpus::Corpus;
 use clockmark_serve::{Backoff, Client, WorkerHeartbeat};
@@ -655,14 +656,6 @@ fn publish_progress_timed(
         &dir.join("progress.json"),
         format!("{}\n", progress.encode()).as_bytes(),
     );
-}
-
-/// Write-temp-then-rename, so readers never observe a torn file.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), FleetError> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes).map_err(|e| FleetError::io(format!("writing {}", tmp.display()), e))?;
-    fs::rename(&tmp, path)
-        .map_err(|e| FleetError::io(format!("renaming into {}", path.display()), e))
 }
 
 #[cfg(test)]

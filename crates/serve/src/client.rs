@@ -308,45 +308,22 @@ impl Client {
         options: DetectOptions,
         samples: &[f64],
     ) -> Result<TraceDetection, ServeError> {
-        let sent_before = self.bytes_sent;
-        let client_span = self.begin_traced_request()?;
-        let mut span = clockmark_obs::span("client.detect")
-            .field("cycles", samples.len() as u64)
-            .field("period", pattern.len() as u64);
-        if let (Some(span_id), Some(trace)) = (client_span, self.trace.as_ref()) {
-            span = span
-                .field("trace_id", trace_id_hex(&trace.trace_id))
-                .field("span_id", span_id);
-        }
-        if let Some(algo) = options.algo {
-            span = span.field("algo", algo.as_str());
-        }
-        self.send(&Request::DetectStart {
+        let span = exchange_span("client.detect", pattern, &options, samples);
+        let start = Request::DetectStart {
             pattern: pattern.to_vec(),
             algo: options.algo,
             criterion: options.criterion,
-        })?;
-        for chunk in samples.chunks(CLIENT_CHUNK) {
-            self.send(&Request::DetectChunk {
-                samples: chunk.to_vec(),
-            })?;
-        }
-        self.send(&Request::DetectFinish)?;
-        let outcome = match self.receive()? {
-            Response::Detection(detection) => Ok(detection),
-            other => Err(unexpected(&other)),
         };
-        span = span.field("wire_bytes", self.bytes_sent - sent_before);
-        if let Some(trace) = self.trace.as_ref() {
-            span = span.field("server_span", trace.last_server_span);
+        match self.stream_exchange(span, start, samples)? {
+            (Response::Detection(detection), span) => {
+                drop(
+                    span.field("peak_rho", detection.result.peak_rho)
+                        .field("detected", detection.result.detected),
+                );
+                Ok(detection)
+            }
+            (other, _) => Err(unexpected(&other)),
         }
-        if let Ok(detection) = &outcome {
-            span = span
-                .field("peak_rho", detection.result.peak_rho)
-                .field("detected", detection.result.detected);
-        }
-        drop(span);
-        outcome
     }
 
     /// Streams `samples` through a *sequential* detect exchange: the
@@ -367,48 +344,25 @@ impl Client {
         seq: SequentialOptions,
         samples: &[f64],
     ) -> Result<SequentialResult, ServeError> {
-        let sent_before = self.bytes_sent;
-        let client_span = self.begin_traced_request()?;
-        let mut span = clockmark_obs::span("client.detect")
-            .field("mode", "sequential")
-            .field("cycles", samples.len() as u64)
-            .field("period", pattern.len() as u64);
-        if let (Some(span_id), Some(trace)) = (client_span, self.trace.as_ref()) {
-            span = span
-                .field("trace_id", trace_id_hex(&trace.trace_id))
-                .field("span_id", span_id);
-        }
-        if let Some(algo) = options.algo {
-            span = span.field("algo", algo.as_str());
-        }
-        self.send(&Request::DetectSequentialStart {
+        let span =
+            exchange_span("client.detect", pattern, &options, samples).field("mode", "sequential");
+        let start = Request::DetectSequentialStart {
             pattern: pattern.to_vec(),
             algo: options.algo,
             criterion: options.criterion,
             options: seq,
-        })?;
-        for chunk in samples.chunks(CLIENT_CHUNK) {
-            self.send(&Request::DetectChunk {
-                samples: chunk.to_vec(),
-            })?;
-        }
-        self.send(&Request::DetectFinish)?;
-        let outcome = match self.receive()? {
-            Response::SequentialDetection(result) => Ok(result),
-            other => Err(unexpected(&other)),
         };
-        span = span.field("wire_bytes", self.bytes_sent - sent_before);
-        if let Some(trace) = self.trace.as_ref() {
-            span = span.field("server_span", trace.last_server_span);
+        match self.stream_exchange(span, start, samples)? {
+            (Response::SequentialDetection(result), span) => {
+                drop(
+                    span.field("cycles_consumed", result.cycles_consumed)
+                        .field("early_stopped", result.early_stopped)
+                        .field("detected", result.result.detected),
+                );
+                Ok(result)
+            }
+            (other, _) => Err(unexpected(&other)),
         }
-        if let Ok(result) = &outcome {
-            span = span
-                .field("cycles_consumed", result.cycles_consumed)
-                .field("early_stopped", result.early_stopped)
-                .field("detected", result.result.detected);
-        }
-        drop(span);
-        outcome
     }
 
     /// Streams `samples` once and ranks every candidate pattern against
@@ -423,46 +377,58 @@ impl Client {
         candidates: &[CandidatePattern],
         samples: &[f64],
     ) -> Result<Identification, ServeError> {
+        let span = exchange_span("client.identify", pattern, &options, samples)
+            .field("candidates", candidates.len() as u64);
+        let start = Request::IdentifyStart {
+            pattern: pattern.to_vec(),
+            algo: options.algo,
+            criterion: options.criterion,
+            candidates: candidates.to_vec(),
+        };
+        match self.stream_exchange(span, start, samples)? {
+            (Response::Identification(identification), mut span) => {
+                if let Some(best) = identification.scores.first() {
+                    span = span
+                        .field("best", best.label.clone())
+                        .field("best_rho", best.result.peak_rho);
+                }
+                drop(span);
+                Ok(identification)
+            }
+            (other, _) => Err(unexpected(&other)),
+        }
+    }
+
+    /// The streamed exchange every `*Start` frame shares: `start`, the
+    /// samples in `DetectChunk` frames, `DetectFinish`, then the server's
+    /// single reply, returned with the caller's client span annotated
+    /// with the trace ids and wire bytes.
+    fn stream_exchange(
+        &mut self,
+        mut span: clockmark_obs::Span,
+        start: Request,
+        samples: &[f64],
+    ) -> Result<(Response, clockmark_obs::Span), ServeError> {
         let sent_before = self.bytes_sent;
         let client_span = self.begin_traced_request()?;
-        let mut span = clockmark_obs::span("client.identify")
-            .field("cycles", samples.len() as u64)
-            .field("period", pattern.len() as u64)
-            .field("candidates", candidates.len() as u64);
         if let (Some(span_id), Some(trace)) = (client_span, self.trace.as_ref()) {
             span = span
                 .field("trace_id", trace_id_hex(&trace.trace_id))
                 .field("span_id", span_id);
         }
-        self.send(&Request::IdentifyStart {
-            pattern: pattern.to_vec(),
-            algo: options.algo,
-            criterion: options.criterion,
-            candidates: candidates.to_vec(),
-        })?;
+        self.send(&start)?;
         for chunk in samples.chunks(CLIENT_CHUNK) {
             self.send(&Request::DetectChunk {
                 samples: chunk.to_vec(),
             })?;
         }
         self.send(&Request::DetectFinish)?;
-        let outcome = match self.receive()? {
-            Response::Identification(identification) => Ok(identification),
-            other => Err(unexpected(&other)),
-        };
+        let response = self.receive();
         span = span.field("wire_bytes", self.bytes_sent - sent_before);
         if let Some(trace) = self.trace.as_ref() {
             span = span.field("server_span", trace.last_server_span);
         }
-        if let Ok(identification) = &outcome {
-            if let Some(best) = identification.scores.first() {
-                span = span
-                    .field("best", best.label.clone())
-                    .field("best_rho", best.result.peak_rho);
-            }
-        }
-        drop(span);
-        outcome
+        Ok((response?, span))
     }
 
     /// Asks the server to detect `pattern` in a trace stored in a
@@ -602,6 +568,23 @@ impl Client {
             }
         }
     }
+}
+
+/// The client span of a streamed exchange, before trace ids and wire
+/// bytes are known.
+fn exchange_span(
+    name: &'static str,
+    pattern: &[bool],
+    options: &DetectOptions,
+    samples: &[f64],
+) -> clockmark_obs::Span {
+    let mut span = clockmark_obs::span(name)
+        .field("cycles", samples.len() as u64)
+        .field("period", pattern.len() as u64);
+    if let Some(algo) = options.algo {
+        span = span.field("algo", algo.as_str());
+    }
+    span
 }
 
 fn unexpected(response: &Response) -> ServeError {

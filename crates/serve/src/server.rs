@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use clockmark_cpa::{CpaAlgo, DetectOptions, Detector, StreamingDetection};
+use clockmark_cpa::{CpaAlgo, DetectOptions, DetectionCriterion, Detector, StreamingDetection};
 
 use crate::error::{io_err, ServeError};
 use crate::protocol::{
@@ -517,27 +517,24 @@ fn reject_session(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// What a streamed detect exchange resolves to at `DetectFinish`.
-enum ExchangeKind {
-    /// Classic fixed-budget detect: fold everything, evaluate once.
-    Plain(StreamingDetection),
-    /// Sequential early-termination detect: the session freezes its
-    /// fold once the acceptance rule fires, so later chunks cost only
-    /// the `decided()` check. The client keeps streaming — the saving
-    /// is server CPU, not wire bandwidth.
-    Sequential(clockmark_cpa::SequentialDetection),
-    /// Batched identification: one fold, scored against every candidate
-    /// at finish.
-    Identify {
-        session: StreamingDetection,
-        candidates: Vec<clockmark_cpa::CandidatePattern>,
-    },
+/// How a finished detect exchange encodes its reply.
+enum Reply {
+    /// `Detection`: the verdict on every cycle streamed.
+    Detection,
+    /// `SequentialDetection`: the session carries these options as its
+    /// stop rule, and chunks after it decides cost only the `decided()`
+    /// check. The client keeps streaming — the saving is server CPU,
+    /// not wire bandwidth.
+    Sequential(clockmark_cpa::SequentialOptions),
+    /// `Identification`: the fold scored against every candidate.
+    Identification(Vec<clockmark_cpa::CandidatePattern>),
 }
 
 /// An in-progress streamed detect exchange.
 struct DetectExchange {
     detector: Detector,
-    kind: ExchangeKind,
+    session: StreamingDetection,
+    reply: Reply,
     /// Cycles streamed by the client, counted independently of the
     /// session: a decided sequential session stops ingesting (its
     /// `cycles()` freezes), but the server's per-exchange cycle budget
@@ -1104,10 +1101,11 @@ fn handle_request_inner(
 ) -> Flow {
     let exchange = &mut ctx.exchange;
     match request {
-        Request::Ping => send_response(stream, trace, &Response::Pong),
-        Request::Status => send_response(stream, trace, &Response::Status(shared.status())),
+        Request::Ping => send_response(stream, shared, trace, &Response::Pong),
+        Request::Status => send_response(stream, shared, trace, &Response::Status(shared.status())),
         Request::Metrics => send_response(
             stream,
+            shared,
             trace,
             &Response::Metrics {
                 text: metrics_text(shared),
@@ -1128,124 +1126,50 @@ fn handle_request_inner(
         }
         Request::Shutdown => {
             shared.draining.store(true, Ordering::SeqCst);
-            send_response(stream, trace, &Response::ShutdownAck);
+            send_response(stream, shared, trace, &Response::ShutdownAck);
             Flow::Close
         }
         Request::DetectStart {
             pattern,
             algo,
             criterion,
-        } => {
-            if exchange.is_some() {
-                return fail(
-                    stream,
-                    trace,
-                    ErrorCode::BadSequence,
-                    "DetectStart while a detect exchange is already open",
-                );
-            }
-            if shared.draining.load(Ordering::SeqCst) {
-                return fail(stream, trace, ErrorCode::Draining, "server is draining");
-            }
-            let mut options = DetectOptions::default().with_criterion(criterion);
-            if let Some(algo) = algo {
-                options = options.with_algo(algo);
-            }
-            match Detector::with_options(&pattern, options) {
-                Ok(detector) => {
-                    let session = detector.detect_streaming();
-                    *exchange = Some(DetectExchange {
-                        detector,
-                        kind: ExchangeKind::Plain(session),
-                        streamed: 0,
-                        wire_bytes,
-                    });
-                    Flow::Continue
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
-        }
+        } => start_exchange(
+            stream,
+            shared,
+            exchange,
+            trace,
+            (pattern, algo, criterion),
+            Reply::Detection,
+            wire_bytes,
+        ),
         Request::DetectSequentialStart {
             pattern,
             algo,
             criterion,
-            options: seq_options,
-        } => {
-            if exchange.is_some() {
-                return fail(
-                    stream,
-                    trace,
-                    ErrorCode::BadSequence,
-                    "DetectSequentialStart while a detect exchange is already open",
-                );
-            }
-            if shared.draining.load(Ordering::SeqCst) {
-                return fail(stream, trace, ErrorCode::Draining, "server is draining");
-            }
-            let mut options = DetectOptions::default().with_criterion(criterion);
-            if let Some(algo) = algo {
-                options = options.with_algo(algo);
-            }
-            match Detector::with_options(&pattern, options) {
-                Ok(detector) => {
-                    let session = detector.detect_sequential_streaming(seq_options);
-                    *exchange = Some(DetectExchange {
-                        detector,
-                        kind: ExchangeKind::Sequential(session),
-                        streamed: 0,
-                        wire_bytes,
-                    });
-                    Flow::Continue
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
-        }
+            options,
+        } => start_exchange(
+            stream,
+            shared,
+            exchange,
+            trace,
+            (pattern, algo, criterion),
+            Reply::Sequential(options),
+            wire_bytes,
+        ),
         Request::IdentifyStart {
             pattern,
             algo,
             criterion,
             candidates,
-        } => {
-            if exchange.is_some() {
-                return fail(
-                    stream,
-                    trace,
-                    ErrorCode::BadSequence,
-                    "IdentifyStart while a detect exchange is already open",
-                );
-            }
-            if shared.draining.load(Ordering::SeqCst) {
-                return fail(stream, trace, ErrorCode::Draining, "server is draining");
-            }
-            if candidates.is_empty() {
-                return fail(
-                    stream,
-                    trace,
-                    ErrorCode::Cpa,
-                    "identify needs at least one candidate pattern",
-                );
-            }
-            let mut options = DetectOptions::default().with_criterion(criterion);
-            if let Some(algo) = algo {
-                options = options.with_algo(algo);
-            }
-            match Detector::with_options(&pattern, options) {
-                Ok(detector) => {
-                    let session = detector.detect_streaming();
-                    *exchange = Some(DetectExchange {
-                        detector,
-                        kind: ExchangeKind::Identify {
-                            session,
-                            candidates,
-                        },
-                        streamed: 0,
-                        wire_bytes,
-                    });
-                    Flow::Continue
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
-        }
+        } => start_exchange(
+            stream,
+            shared,
+            exchange,
+            trace,
+            (pattern, algo, criterion),
+            Reply::Identification(candidates),
+            wire_bytes,
+        ),
         Request::DetectChunk { samples } => {
             let Some(open) = exchange.as_mut() else {
                 return fail(
@@ -1270,11 +1194,7 @@ fn handle_request_inner(
             }
             open.streamed = next;
             open.wire_bytes = open.wire_bytes.saturating_add(wire_bytes);
-            match &mut open.kind {
-                ExchangeKind::Plain(session) => session.push_chunk(&samples),
-                ExchangeKind::Sequential(session) => session.push_chunk(&samples),
-                ExchangeKind::Identify { session, .. } => session.push_chunk(&samples),
-            }
+            open.session.push_chunk(&samples);
             Flow::Continue
         }
         Request::DetectFinish => {
@@ -1317,7 +1237,7 @@ fn handle_request_inner(
             ) {
                 Ok((detection, algo)) => {
                     shared.note_served(algo);
-                    send_response(stream, trace, &Response::Detection(detection))
+                    send_response(stream, shared, trace, &Response::Detection(detection))
                 }
                 Err((code, message)) => fail(stream, trace, code, &message),
             }
@@ -1345,6 +1265,7 @@ fn handle_request_inner(
             match outcome {
                 Ok(outcome) => send_response(
                     stream,
+                    shared,
                     trace,
                     &Response::ShardResult {
                         shard_id: outcome.shard_id,
@@ -1361,15 +1282,61 @@ fn handle_request_inner(
                 .as_ref()
                 .map(|fleet| fleet.heartbeat())
                 .unwrap_or_default();
-            send_response(stream, trace, &Response::Heartbeat(beat))
+            send_response(stream, shared, trace, &Response::Heartbeat(beat))
         } // `Request` is non_exhaustive for downstream crates only; within
           // the defining crate the match above is already exhaustive.
     }
 }
 
-/// Resolves a finished detect exchange into its response frame: the
-/// plain verdict, the sequential verdict plus checkpoint trail, or the
-/// ranked identification ledger.
+/// The one start path of every streamed exchange (`DetectStart`,
+/// `DetectSequentialStart`, `IdentifyStart`): refuses a second open
+/// exchange and new work while draining, builds the [`Detector`], and
+/// opens the session, with a stop rule attached for a sequential reply.
+/// The start frame is unacknowledged; failures answer with an error.
+fn start_exchange(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    exchange: &mut Option<DetectExchange>,
+    trace: Option<&TraceCtx>,
+    (pattern, algo, criterion): (Vec<bool>, Option<CpaAlgo>, DetectionCriterion),
+    reply: Reply,
+    wire_bytes: u64,
+) -> Flow {
+    if exchange.is_some() {
+        return fail(
+            stream,
+            trace,
+            ErrorCode::BadSequence,
+            "exchange start while a detect exchange is already open",
+        );
+    }
+    if shared.draining.load(Ordering::SeqCst) {
+        return fail(stream, trace, ErrorCode::Draining, "server is draining");
+    }
+    let mut options = DetectOptions::default().with_criterion(criterion);
+    if let Some(algo) = algo {
+        options = options.with_algo(algo);
+    }
+    let detector = match Detector::with_options(&pattern, options) {
+        Ok(detector) => detector,
+        Err(e) => return fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
+    };
+    let mut session = detector.detect_streaming();
+    if let Reply::Sequential(stop) = reply {
+        session = session.with_sequential(stop);
+    }
+    *exchange = Some(DetectExchange {
+        detector,
+        session,
+        reply,
+        streamed: 0,
+        wire_bytes,
+    });
+    Flow::Continue
+}
+
+/// Resolves a finished detect exchange into its response frame; only
+/// the reply encoding differs between the exchange kinds.
 fn finish_exchange(
     stream: &mut TcpStream,
     shared: &Shared,
@@ -1377,91 +1344,64 @@ fn finish_exchange(
     open: DetectExchange,
     wire_bytes: u64,
 ) -> Flow {
-    let algo = open.detector.resolved_algo();
-    let wire_total = open.wire_bytes.saturating_add(wire_bytes);
-    let with_trace = |mut span: clockmark_obs::Span| {
-        if let Some(t) = trace {
-            span = span
-                .field("trace_id", trace_id_hex(&t.trace_id))
-                .field("parent_span", t.current_span);
-        }
-        span
+    let DetectExchange {
+        detector,
+        session,
+        reply,
+        streamed,
+        wire_bytes: start_bytes,
+    } = open;
+    let algo = detector.resolved_algo();
+    let name = match reply {
+        Reply::Identification(_) => "serve.identify",
+        Reply::Detection | Reply::Sequential(_) => "serve.detect",
     };
-    match open.kind {
-        ExchangeKind::Plain(session) => {
-            let mut detect_span = with_trace(
-                clockmark_obs::span("serve.detect")
-                    .field("cycles", session.cycles())
-                    .field("period", session.period() as u64)
-                    .field("algo", algo.as_str())
-                    .field("wire_bytes", wire_total),
-            );
-            let outcome = session
-                .spectrum()
-                .map(|spectrum| clockmark_cpa::TraceDetection {
-                    result: open.detector.criterion().evaluate(&spectrum),
-                    cycles: session.cycles(),
-                });
-            if let Ok(detection) = &outcome {
-                detect_span = detect_span
-                    .field("peak_rho", detection.result.peak_rho)
-                    .field("detected", detection.result.detected);
-            }
-            drop(detect_span);
-            match outcome {
-                Ok(detection) => {
-                    clockmark_obs::observe("serve.detect.cycles_consumed", detection.cycles as f64);
-                    shared.note_served(algo);
-                    send_response(stream, trace, &Response::Detection(detection))
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
+    let mut span = clockmark_obs::span(name)
+        .field("cycles", session.cycles())
+        .field("streamed", streamed)
+        .field("period", session.period() as u64)
+        .field("algo", algo.as_str())
+        .field("wire_bytes", start_bytes.saturating_add(wire_bytes));
+    if let Some(t) = trace {
+        span = span
+            .field("trace_id", trace_id_hex(&t.trace_id))
+            .field("parent_span", t.current_span);
+    }
+    let response = match reply {
+        Reply::Detection => session.spectrum().map(|spectrum| {
+            Response::Detection(clockmark_cpa::TraceDetection {
+                result: spectrum.detect(detector.criterion()),
+                cycles: session.cycles(),
+            })
+        }),
+        Reply::Sequential(_) => Ok(Response::SequentialDetection(session.finalize())),
+        Reply::Identification(candidates) => {
+            session.identify(&candidates).map(Response::Identification)
         }
-        ExchangeKind::Sequential(session) => {
-            let detect_span = with_trace(
-                clockmark_obs::span("serve.detect")
-                    .field("mode", "sequential")
-                    .field("streamed", open.streamed)
-                    .field("period", session.period() as u64)
-                    .field("algo", algo.as_str())
-                    .field("wire_bytes", wire_total),
-            );
-            let outcome = session.finalize();
-            let detect_span = detect_span
-                .field("cycles", outcome.cycles_consumed)
-                .field("early_stopped", outcome.early_stopped)
-                .field("peak_rho", outcome.result.peak_rho)
-                .field("detected", outcome.result.detected);
-            drop(detect_span);
-            clockmark_obs::observe(
-                "serve.detect.cycles_consumed",
-                outcome.cycles_consumed as f64,
-            );
+    };
+    let verdict = match &response {
+        Ok(Response::Detection(d)) => Some(&d.result),
+        Ok(Response::SequentialDetection(s)) => {
+            span = span
+                .field("mode", "sequential")
+                .field("early_stopped", s.early_stopped);
+            Some(&s.result)
+        }
+        _ => None,
+    };
+    if let Some(result) = verdict {
+        span = span
+            .field("peak_rho", result.peak_rho)
+            .field("detected", result.detected);
+        clockmark_obs::observe("serve.detect.cycles_consumed", session.cycles() as f64);
+    }
+    drop(span);
+    match response {
+        Ok(response) => {
             shared.note_served(algo);
-            send_response(stream, trace, &Response::SequentialDetection(outcome))
+            send_response(stream, shared, trace, &response)
         }
-        ExchangeKind::Identify {
-            session,
-            candidates,
-        } => {
-            let identify_span = with_trace(
-                clockmark_obs::span("serve.identify")
-                    .field("cycles", session.cycles())
-                    .field("period", session.period() as u64)
-                    .field("candidates", candidates.len() as u64)
-                    .field("algo", algo.as_str())
-                    .field("wire_bytes", wire_total),
-            );
-            let outcome = session.identify(&candidates);
-            drop(identify_span);
-            match outcome {
-                Ok(identification) => {
-                    shared.note_served(algo);
-                    send_response(stream, trace, &Response::Identification(identification))
-                }
-                Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
-            }
-        }
+        Err(e) => fail(stream, trace, ErrorCode::Cpa, &e.to_string()),
     }
 }
 
@@ -1474,7 +1414,7 @@ fn detect_corpus(
     trace: &str,
     pattern: &[bool],
     algo: Option<clockmark_cpa::CpaAlgo>,
-    criterion: clockmark_cpa::DetectionCriterion,
+    criterion: DetectionCriterion,
     trace_ctx: Option<&TraceCtx>,
 ) -> Result<(clockmark_cpa::TraceDetection, CpaAlgo), (ErrorCode, String)> {
     let mut options = DetectOptions::default().with_criterion(criterion);
@@ -1538,8 +1478,24 @@ fn detect_corpus(
 
 /// Writes a response frame, preceded by a [`Response::TraceEcho`] frame
 /// carrying the server span id for this request while a trace context
-/// is in effect.
-fn send_response(stream: &mut TcpStream, trace: Option<&TraceCtx>, response: &Response) -> Flow {
+/// is in effect. A response whose payload exceeds `max_frame_bytes` is
+/// answered with a `FrameTooLarge` error instead: the peer would refuse
+/// the frame and lose its place in the stream.
+fn send_response(
+    stream: &mut TcpStream,
+    shared: &Shared,
+    trace: Option<&TraceCtx>,
+    response: &Response,
+) -> Flow {
+    let (ty, payload) = response.encode();
+    let max = shared.limits.max_frame_bytes;
+    if payload.len() > max {
+        let message = format!(
+            "response payload of {} bytes exceeds the {max}-byte frame limit",
+            payload.len()
+        );
+        return fail(stream, trace, ErrorCode::FrameTooLarge, &message);
+    }
     if let Some(t) = trace {
         let (ty, payload) = Response::TraceEcho {
             trace_id: t.trace_id,
@@ -1550,7 +1506,6 @@ fn send_response(stream: &mut TcpStream, trace: Option<&TraceCtx>, response: &Re
             return Flow::Close;
         }
     }
-    let (ty, payload) = response.encode();
     match write_frame(stream, ty, &payload) {
         Ok(()) => Flow::Continue,
         Err(_) => Flow::Close,

@@ -6,7 +6,9 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use clockmark_cpa::{DetectOptions, DetectionCriterion, Detector};
+use clockmark_cpa::{
+    CandidatePattern, DetectOptions, DetectionCriterion, Detector, SequentialOptions,
+};
 use clockmark_serve::{
     protocol, Client, ErrorCode, Request, Response, ServeError, ServeLimits, Server, ServerHandle,
 };
@@ -214,6 +216,68 @@ fn pool_full_rejects_with_retry_hint_and_retry_succeeds() {
     handle.shutdown();
 }
 
+/// Writes one request frame on a raw connection.
+fn send(stream: &mut TcpStream, request: &Request) {
+    let (ty, payload) = request.encode();
+    protocol::write_frame(stream, ty, &payload).unwrap();
+}
+
+/// Reads one response frame on a raw connection.
+fn receive(stream: &mut TcpStream) -> Response {
+    let (ty, payload) = protocol::read_frame(stream, 1 << 16).expect("response frame");
+    Response::decode(ty, &payload).expect("decodes")
+}
+
+fn expect_error(stream: &mut TcpStream, expected: ErrorCode, case: &str) {
+    match receive(stream) {
+        Response::Error { code, .. } => assert_eq!(code, expected, "{case}"),
+        other => panic!("{case}: expected error frame, got {other:?}"),
+    }
+}
+
+/// The three frames that open a streamed exchange, for `pattern`.
+fn start_frames(pattern: &[bool]) -> [Request; 3] {
+    [
+        Request::DetectStart {
+            pattern: pattern.to_vec(),
+            algo: None,
+            criterion: DetectionCriterion::default(),
+        },
+        Request::DetectSequentialStart {
+            pattern: pattern.to_vec(),
+            algo: None,
+            criterion: DetectionCriterion::default(),
+            options: SequentialOptions::default(),
+        },
+        Request::IdentifyStart {
+            pattern: pattern.to_vec(),
+            algo: None,
+            criterion: DetectionCriterion::default(),
+            candidates: vec![CandidatePattern::new("self", pattern.to_vec())],
+        },
+    ]
+}
+
+/// Streams a well-formed detect exchange on a raw connection.
+fn assert_raw_exchange_completes(stream: &mut TcpStream, case: &str) {
+    let pattern = pattern();
+    let y = trace(pattern.len() * 10);
+    send(
+        stream,
+        &Request::DetectStart {
+            pattern,
+            algo: None,
+            criterion: DetectionCriterion::default(),
+        },
+    );
+    send(stream, &Request::DetectChunk { samples: y.clone() });
+    send(stream, &Request::DetectFinish);
+    match receive(stream) {
+        Response::Detection(d) => assert_eq!(d.cycles, y.len() as u64, "{case}"),
+        other => panic!("{case}: expected detection, got {other:?}"),
+    }
+}
+
 #[test]
 fn detect_frames_out_of_order_get_bad_sequence() {
     let handle = start(quick_limits());
@@ -225,38 +289,84 @@ fn detect_frames_out_of_order_get_bad_sequence() {
     protocol::write_greeting(&mut stream).unwrap();
     protocol::read_greeting(&mut stream).expect("greeting echoed");
 
-    let (ty, payload) = Request::DetectChunk {
-        samples: vec![1.0, 2.0],
-    }
-    .encode();
-    protocol::write_frame(&mut stream, ty, &payload).unwrap();
-    let (ty, payload) = protocol::read_frame(&mut stream, 1 << 16).expect("error frame");
-    match Response::decode(ty, &payload).expect("decodes") {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadSequence),
-        other => panic!("expected error frame, got {other:?}"),
-    }
+    // A bad sequence is a caller bug, not a transport fault: after each
+    // case the same connection must still complete a well-formed
+    // exchange.
+    send(
+        &mut stream,
+        &Request::DetectChunk {
+            samples: vec![1.0, 2.0],
+        },
+    );
+    expect_error(&mut stream, ErrorCode::BadSequence, "chunk without start");
+    assert_raw_exchange_completes(&mut stream, "chunk without start");
 
-    // A bad sequence is a caller bug, not a transport fault: the same
-    // connection must still complete a well-formed exchange.
+    // Every start frame is refused while an exchange is open, and the
+    // open exchange is left intact.
     let pattern = pattern();
-    let y = trace(pattern.len() * 10);
-    let (ty, payload) = Request::DetectStart {
-        pattern: pattern.clone(),
-        algo: None,
-        criterion: DetectionCriterion::default(),
-    }
-    .encode();
-    protocol::write_frame(&mut stream, ty, &payload).unwrap();
-    let (ty, payload) = Request::DetectChunk { samples: y.clone() }.encode();
-    protocol::write_frame(&mut stream, ty, &payload).unwrap();
-    let (ty, payload) = Request::DetectFinish.encode();
-    protocol::write_frame(&mut stream, ty, &payload).unwrap();
-    let (ty, payload) = protocol::read_frame(&mut stream, 1 << 16).expect("result frame");
-    match Response::decode(ty, &payload).expect("decodes") {
-        Response::Detection(d) => assert_eq!(d.cycles, y.len() as u64),
-        other => panic!("expected detection, got {other:?}"),
+    for second in start_frames(&pattern) {
+        let case = format!("{second:?} while open");
+        let [first, ..] = start_frames(&pattern);
+        send(&mut stream, &first);
+        send(
+            &mut stream,
+            &Request::DetectChunk {
+                samples: trace(pattern.len() * 4),
+            },
+        );
+        send(&mut stream, &second);
+        expect_error(&mut stream, ErrorCode::BadSequence, &case);
+        send(&mut stream, &Request::DetectFinish);
+        assert!(
+            matches!(receive(&mut stream), Response::Detection(_)),
+            "{case}"
+        );
+        assert_raw_exchange_completes(&mut stream, &case);
     }
 
+    // Every start frame with a constant pattern fails the detector build.
+    for start in start_frames(&[true; 16]) {
+        let case = format!("{start:?}");
+        send(&mut stream, &start);
+        expect_error(&mut stream, ErrorCode::Cpa, &case);
+        assert_raw_exchange_completes(&mut stream, &case);
+    }
+
+    handle.shutdown();
+}
+
+/// A sequential exchange checkpointing every cycle returns a trail too
+/// large for one frame. The server must answer `FrameTooLarge` rather
+/// than write a frame the client refuses, so the connection stays in
+/// sync for the next request.
+#[test]
+fn oversized_response_is_refused_and_the_session_stays_in_sync() {
+    let handle = start(quick_limits());
+    let pattern: Vec<bool> = pattern().into_iter().take(63).collect();
+    // Unmarked: xorshift noise with no watermark in it.
+    let mut s = 0x5EED_F00D_0DD5_u64;
+    let y: Vec<f64> = (0..100_000)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        })
+        .collect();
+
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    match client.detect_sequential(
+        &pattern,
+        DetectOptions::default(),
+        SequentialOptions::every(1),
+        &y,
+    ) {
+        Err(ServeError::Remote { code, .. }) => assert_eq!(code, ErrorCode::FrameTooLarge),
+        other => panic!("expected FrameTooLarge, got {other:?}"),
+    }
+    client.ping().expect("ping on the same connection");
+
+    assert_still_serving(&handle);
     handle.shutdown();
 }
 
