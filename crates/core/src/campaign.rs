@@ -235,20 +235,8 @@ impl CampaignSpec {
     /// Serialises the spec as one JSON object.
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"corpus\":");
-        json::write_str(&mut out, &self.corpus.to_string_lossy());
-        out.push_str(",\"pattern\":\"");
-        for &bit in &self.pattern {
-            out.push(if bit { '1' } else { '0' });
-        }
-        out.push_str("\",\"traces\":[");
-        for (i, trace) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, trace);
-        }
-        out.push_str("],\"min_peak_ratio\":");
+        encode_source(&mut out, &self.corpus, &self.pattern, &self.traces);
+        out.push_str(",\"min_peak_ratio\":");
         json::write_f64(&mut out, self.criterion.min_peak_ratio);
         out.push_str(",\"min_zscore\":");
         json::write_f64(&mut out, self.criterion.min_zscore);
@@ -293,39 +281,13 @@ impl CampaignSpec {
     pub fn decode(text: &str) -> Result<Self, CampaignError> {
         let value =
             json::parse(text).map_err(|e| CampaignError::spec(format!("invalid JSON: {e}")))?;
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| CampaignError::spec(format!("missing string field `{key}`")))
-        };
         let num_field = |key: &str| {
             value
                 .get(key)
                 .and_then(Json::as_f64)
                 .ok_or_else(|| CampaignError::spec(format!("missing numeric field `{key}`")))
         };
-        let pattern = str_field("pattern")?
-            .chars()
-            .map(|c| match c {
-                '0' => Ok(false),
-                '1' => Ok(true),
-                other => Err(CampaignError::spec(format!(
-                    "pattern contains `{other}`; only 0/1 allowed"
-                ))),
-            })
-            .collect::<Result<Vec<bool>, _>>()?;
-        let traces = match value.get("traces") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|item| {
-                    item.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| CampaignError::spec("non-string trace name".to_owned()))
-                })
-                .collect::<Result<Vec<String>, _>>()?,
-            _ => return Err(CampaignError::spec("missing array field `traces`")),
-        };
+        let pattern = decode_pattern(&value)?;
         // Specs written before the kernel was recorded lack the field;
         // resolve those from the pattern heuristic, never from the
         // resuming environment (the environment at *creation* decided).
@@ -365,9 +327,9 @@ impl CampaignSpec {
             }
         };
         Ok(CampaignSpec {
-            corpus: PathBuf::from(str_field("corpus")?),
+            corpus: PathBuf::from(decode_str(&value, "corpus")?),
             pattern,
-            traces,
+            traces: decode_traces(&value)?,
             criterion: DetectionCriterion {
                 min_peak_ratio: num_field("min_peak_ratio")?,
                 min_zscore: num_field("min_zscore")?,
@@ -411,6 +373,60 @@ impl CampaignSpec {
             }
         }
         Ok(())
+    }
+}
+
+/// Opens a spec object with the fields a campaign and a scenario matrix
+/// share: `{"corpus":…,"pattern":"0110…","traces":[…]`.
+pub(crate) fn encode_source(out: &mut String, corpus: &Path, pattern: &[bool], traces: &[String]) {
+    out.push_str("{\"corpus\":");
+    json::write_str(out, &corpus.to_string_lossy());
+    out.push_str(",\"pattern\":\"");
+    out.extend(pattern.iter().map(|&bit| if bit { '1' } else { '0' }));
+    out.push_str("\",\"traces\":[");
+    for (i, trace) in traces.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_str(out, trace);
+    }
+    out.push(']');
+}
+
+/// A required string field of a spec object.
+pub(crate) fn decode_str<'v>(value: &'v Json, key: &str) -> Result<&'v str, CampaignError> {
+    value
+        .get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| CampaignError::spec(format!("missing string field `{key}`")))
+}
+
+/// The required `pattern` field: a string of `0`/`1` characters.
+pub(crate) fn decode_pattern(value: &Json) -> Result<Vec<bool>, CampaignError> {
+    decode_str(value, "pattern")?
+        .chars()
+        .map(|c| match c {
+            '0' => Ok(false),
+            '1' => Ok(true),
+            other => Err(CampaignError::spec(format!(
+                "pattern contains `{other}`; only 0/1 allowed"
+            ))),
+        })
+        .collect()
+}
+
+/// The required `traces` field: an array of trace names.
+pub(crate) fn decode_traces(value: &Json) -> Result<Vec<String>, CampaignError> {
+    match value.get("traces") {
+        Some(Json::Array(items)) => items
+            .iter()
+            .map(|item| {
+                item.as_str()
+                    .map(str::to_owned)
+                    .ok_or_else(|| CampaignError::spec("non-string trace name"))
+            })
+            .collect(),
+        _ => Err(CampaignError::spec("missing array field `traces`")),
     }
 }
 
@@ -664,6 +680,33 @@ impl Campaign {
             spec,
             threads: clockmark_cpa::thread_count(),
         })
+    }
+
+    /// Opens the campaign at `dir` if it holds a `campaign.json`, else
+    /// creates it from `spec`: how every child campaign is opened. A
+    /// child's spec is a pure function of its parent's, so losing a
+    /// concurrent create just opens the winner's identical campaign.
+    ///
+    /// # Errors
+    ///
+    /// Returns the errors of [`open`](Campaign::open) and
+    /// [`create`](Campaign::create).
+    pub fn open_or_create(
+        dir: impl Into<PathBuf>,
+        spec: CampaignSpec,
+    ) -> Result<Self, CampaignError> {
+        let dir = dir.into();
+        if dir.join("campaign.json").exists() {
+            return Campaign::open(dir);
+        }
+        match Campaign::create(&dir, spec) {
+            Err(CampaignError::Io { source, .. })
+                if source.kind() == std::io::ErrorKind::AlreadyExists =>
+            {
+                Campaign::open(dir)
+            }
+            created => created,
+        }
     }
 
     /// The campaign directory.

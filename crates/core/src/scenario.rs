@@ -47,7 +47,8 @@ use crate::attack::{
     hash_gaussian, mix_seed, AttackContext, AttackSpec, DefenseSpec, ScenarioSpec,
 };
 use crate::campaign::{
-    write_atomic, Campaign, CampaignError, CampaignLimits, CampaignReport, CampaignSpec,
+    decode_pattern, decode_str, decode_traces, encode_source, write_atomic, Campaign,
+    CampaignError, CampaignLimits, CampaignSpec,
 };
 use clockmark_cpa::{
     CpaAlgo, CpaError, DetectOptions, DetectionCriterion, DetectionResult, Detector,
@@ -117,20 +118,8 @@ impl ScenarioMatrix {
     /// Serialises the matrix as one JSON object.
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(512);
-        out.push_str("{\"corpus\":");
-        json::write_str(&mut out, &self.corpus.to_string_lossy());
-        out.push_str(",\"pattern\":\"");
-        for &bit in &self.pattern {
-            out.push(if bit { '1' } else { '0' });
-        }
-        out.push_str("\",\"traces\":[");
-        for (i, trace) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, trace);
-        }
-        out.push_str("],\"attacks\":[");
+        encode_source(&mut out, &self.corpus, &self.pattern, &self.traces);
+        out.push_str(",\"attacks\":[");
         for (i, attack) in self.attacks.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -180,54 +169,45 @@ impl ScenarioMatrix {
     /// # Errors
     ///
     /// Returns [`CampaignError::Spec`] for malformed JSON, missing
-    /// required fields, or unknown attack/defense kinds.
+    /// required fields, an axis that is not an array (or an SNR that is
+    /// not a number), or unknown attack/defense kinds.
     pub fn decode(text: &str) -> Result<Self, CampaignError> {
         let value =
             json::parse(text).map_err(|e| CampaignError::spec(format!("invalid JSON: {e}")))?;
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| CampaignError::spec(format!("missing string field `{key}`")))
+        let mut matrix = ScenarioMatrix::new(
+            PathBuf::from(decode_str(&value, "corpus")?),
+            decode_pattern(&value)?,
+            decode_traces(&value)?,
+        );
+        // An absent axis keeps its default; a present one must be an
+        // array, or a typo like `"snrs":0.5` would silently run at 1.0.
+        let axis = |key: &str| match value.get(key) {
+            None => Ok(None),
+            Some(Json::Array(items)) => Ok(Some(items)),
+            Some(_) => Err(CampaignError::spec(format!("`{key}` must be an array"))),
         };
-        let pattern = str_field("pattern")?
-            .chars()
-            .map(|c| match c {
-                '0' => Ok(false),
-                '1' => Ok(true),
-                other => Err(CampaignError::spec(format!(
-                    "pattern contains `{other}`; only 0/1 allowed"
-                ))),
-            })
-            .collect::<Result<Vec<bool>, _>>()?;
-        let traces = match value.get("traces") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(|item| {
-                    item.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| CampaignError::spec("non-string trace name".to_owned()))
-                })
-                .collect::<Result<Vec<String>, _>>()?,
-            _ => return Err(CampaignError::spec("missing array field `traces`")),
-        };
-        let mut matrix = ScenarioMatrix::new(PathBuf::from(str_field("corpus")?), pattern, traces);
-        if let Some(Json::Array(items)) = value.get("attacks") {
+        if let Some(items) = axis("attacks")? {
             matrix.attacks = items
                 .iter()
                 .map(AttackSpec::decode_value)
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| CampaignError::spec(e.message))?;
         }
-        if let Some(Json::Array(items)) = value.get("defenses") {
+        if let Some(items) = axis("defenses")? {
             matrix.defenses = items
                 .iter()
                 .map(DefenseSpec::decode_value)
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| CampaignError::spec(e.message))?;
         }
-        if let Some(Json::Array(items)) = value.get("snrs") {
-            matrix.snrs = items.iter().filter_map(Json::as_f64).collect();
+        if let Some(items) = axis("snrs")? {
+            matrix.snrs = items
+                .iter()
+                .map(|v| {
+                    v.as_f64()
+                        .ok_or_else(|| CampaignError::spec("`snrs` entries must be numbers"))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
         }
         let num = |key: &str| value.get(key).and_then(Json::as_f64);
         if let Some(v) = num("amplitude_watts") {
@@ -324,6 +304,24 @@ impl ScenarioMatrix {
             }
         }
         cells
+    }
+
+    /// The [`CampaignSpec`] a cell runs: the matrix's corpus, pattern,
+    /// traces and tuning, with the cell's [`ScenarioSpec`] pinned in. A
+    /// pure function of the persisted matrix, so a cell created during a
+    /// later resume is identical to one created up front.
+    fn cell_spec(&self, cell: &ScenarioCell) -> CampaignSpec {
+        CampaignSpec {
+            corpus: self.corpus.clone(),
+            pattern: self.pattern.clone(),
+            traces: self.traces.clone(),
+            criterion: self.criterion,
+            checkpoint_cycles: self.checkpoint_cycles,
+            chunk_cycles: self.chunk_cycles,
+            algo: self.algo,
+            sequential: None,
+            scenario: Some(cell.spec.clone()),
+        }
     }
 }
 
@@ -554,35 +552,6 @@ impl ScenarioCampaign {
         self.dir.join("report.json")
     }
 
-    /// The [`CampaignSpec`] a cell runs: the matrix's corpus, pattern,
-    /// traces and tuning, with the cell's [`ScenarioSpec`] pinned in.
-    fn cell_spec(&self, cell: &ScenarioCell) -> CampaignSpec {
-        CampaignSpec {
-            corpus: self.matrix.corpus.clone(),
-            pattern: self.matrix.pattern.clone(),
-            traces: self.matrix.traces.clone(),
-            criterion: self.matrix.criterion,
-            checkpoint_cycles: self.matrix.checkpoint_cycles,
-            chunk_cycles: self.matrix.chunk_cycles,
-            algo: self.matrix.algo,
-            sequential: None,
-            scenario: Some(cell.spec.clone()),
-        }
-    }
-
-    /// Opens a cell's campaign, materialising it on first touch. The
-    /// spec is a pure function of the persisted matrix, so a cell created
-    /// during a later resume is identical to one created up front.
-    fn cell_campaign(&self, cell: &ScenarioCell) -> Result<Campaign, CampaignError> {
-        let dir = self.cell_dir(cell);
-        let campaign = if dir.join("campaign.json").exists() {
-            Campaign::open(dir)?
-        } else {
-            Campaign::create(dir, self.cell_spec(cell))?
-        };
-        Ok(campaign.with_threads(self.threads))
-    }
-
     /// Runs pending cells (subject to `limits`, whose `max_jobs` bounds
     /// the total jobs landed across cells in this call) and returns the
     /// status afterwards. When the last cell completes, the merged
@@ -605,7 +574,10 @@ impl ScenarioCampaign {
             if budget == Some(0) {
                 break;
             }
-            let campaign = self.cell_campaign(&cell)?;
+            // Cells materialise on first touch.
+            let campaign =
+                Campaign::open_or_create(self.cell_dir(&cell), self.matrix.cell_spec(&cell))?
+                    .with_threads(self.threads);
             let before = campaign.status()?.completed;
             if before == self.matrix.traces.len() {
                 continue;
@@ -667,20 +639,20 @@ impl ScenarioCampaign {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::Incomplete`] while cells are pending,
-    /// plus the persistence errors of the cell campaigns.
+    /// Returns [`CampaignError::Incomplete`] with the whole matrix's job
+    /// counts while any job is pending, plus the persistence errors of
+    /// the cell campaigns.
     pub fn report(&self) -> Result<ScenarioReport, CampaignError> {
+        let status = self.status()?;
+        if !status.is_complete() {
+            return Err(CampaignError::Incomplete {
+                completed: status.jobs_completed,
+                total: status.jobs_total,
+            });
+        }
         let mut rows = Vec::new();
         for cell in self.cells() {
-            let dir = self.cell_dir(&cell);
-            if !dir.join("campaign.json").exists() {
-                return Err(CampaignError::Incomplete {
-                    completed: rows.len(),
-                    total: self.cells().len(),
-                });
-            }
-            let campaign = Campaign::open(dir)?;
-            let report: CampaignReport = campaign.report()?;
+            let report = Campaign::open(self.cell_dir(&cell))?.report()?;
             rows.push(ScenarioCellReport {
                 cell: cell.id.clone(),
                 attack: cell.spec.attack.kind().to_owned(),
@@ -1241,6 +1213,61 @@ mod tests {
         assert_eq!(matrix.attacks, AttackSpec::all_defaults());
         assert_eq!(matrix.defenses, DefenseSpec::all_defaults());
         assert_eq!(matrix.snrs, vec![1.0]);
+    }
+
+    #[test]
+    fn matrix_decode_rejects_ill_typed_axes() {
+        let base = r#"{"corpus":"/c","pattern":"101","traces":["t0"]"#;
+        for (extra, field) in [
+            (r#","snrs":0.5}"#, "snrs"),
+            (r#","snrs":[1.0,"x"]}"#, "snrs"),
+            (r#","attacks":{}}"#, "attacks"),
+        ] {
+            let err = ScenarioMatrix::decode(&format!("{base}{extra}")).expect_err(extra);
+            assert!(matches!(err, CampaignError::Spec { .. }), "{extra}: {err}");
+            assert!(err.to_string().contains(field), "{extra}: {err}");
+        }
+    }
+
+    #[test]
+    fn report_counts_the_whole_matrix_jobs_until_complete() {
+        let dir = std::env::temp_dir().join(format!(
+            "cm_scenario_incomplete_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        fs::remove_dir_all(&dir).ok();
+        let pattern = pattern();
+        let mut corpus =
+            clockmark_corpus::Corpus::create(dir.join("corpus")).expect("creates corpus");
+        let traces = vec!["t0".to_owned(), "t1".to_owned()];
+        for (seed, name) in traces.iter().enumerate() {
+            let samples = marked(&pattern, 63 * 32, 3, 0.4, 0.05, seed as u64);
+            corpus
+                .add(name, clockmark_corpus::TraceHeader::bare(0), &samples)
+                .expect("adds");
+        }
+        let mut matrix = ScenarioMatrix::new(dir.join("corpus"), pattern, traces);
+        matrix.attacks = vec![AttackSpec::None];
+        matrix.defenses = vec![DefenseSpec::None];
+        matrix.snrs = vec![1.0, 0.8, 0.6, 0.5];
+        matrix.algo = CpaAlgo::Folded;
+        let campaign = ScenarioCampaign::create(dir.join("scenario"), matrix)
+            .expect("creates")
+            .with_threads(1);
+        let incomplete = |campaign: &ScenarioCampaign| match campaign.report() {
+            Err(CampaignError::Incomplete { completed, total }) => (completed, total),
+            other => panic!("expected Incomplete, got {other:?}"),
+        };
+        assert_eq!(incomplete(&campaign), (0, 8));
+        campaign
+            .run(&CampaignLimits {
+                max_jobs: Some(3),
+                ..CampaignLimits::none()
+            })
+            .expect("runs");
+        assert_eq!(incomplete(&campaign), (3, 8));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The fleet coordinator: shard scheduling, work stealing, death
 //! detection, and the byte-identical merged report.
 //!
-//! The fleet directory **is** a campaign directory — `Campaign::create`
+//! The fleet directory **is** a campaign directory — `Campaign::open_or_create`
 //! persists the full single-node spec into `fleet.json`'s sibling
 //! `campaign.json`, the merged outcomes land in the same
 //! `results.jsonl`, and the final `report.json` is written with the
@@ -239,7 +239,8 @@ impl Scheduler {
 ///
 /// # Errors
 ///
-/// - [`FleetError::Config`] for an empty worker list.
+/// - [`FleetError::Config`] for an empty worker list or a spec with a
+///   non-identity scenario.
 /// - [`FleetError::WorkersLost`] when every worker died (or never
 ///   connected) with shards still pending; the directory stays
 ///   resumable.
@@ -248,16 +249,20 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     if config.workers.is_empty() {
         return Err(FleetError::config("no workers given"));
     }
+    // A scenario job's seed derives from its job index, and a shard
+    // renumbers its jobs: shards could not land the single-node outcomes.
+    if spec.scenario.as_ref().is_some_and(|s| !s.is_identity()) {
+        return Err(FleetError::config(
+            "fleet runs do not support adversarial scenarios; use `campaign run`",
+        ));
+    }
     let _span = clockmark_obs::span("fleet.run")
         .field("workers", config.workers.len())
         .field("jobs", spec.traces.len());
 
-    // The fleet directory is a campaign directory: create-or-resume.
-    let campaign = if config.dir.join("campaign.json").exists() {
-        Campaign::open(&config.dir)?
-    } else {
-        Campaign::create(&config.dir, spec)?
-    };
+    // The fleet directory is a campaign directory; a resume runs the
+    // persisted spec.
+    let campaign = Campaign::open_or_create(&config.dir, spec)?;
     let spec = campaign.spec().clone();
     let shards = persisted_shard_count(&config.dir, config.effective_shards())?;
     let plan = FleetPlan::new(&spec, shards);
@@ -321,12 +326,19 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     };
 
     std::thread::scope(|scope| {
+        let work: Vec<_> = workers
+            .iter()
+            .map(|worker| {
+                scope.spawn(|| work_loop(worker, config, &spec, &plan, &scheduler, &results))
+            })
+            .collect();
         for worker in &workers {
-            scope.spawn(|| work_loop(worker, config, &spec, &plan, &scheduler, &results));
             scope.spawn(|| heartbeat_loop(worker, config, &scheduler));
         }
         supervise(config, &scheduler, total_jobs as u64);
-    });
+        work.into_iter()
+            .try_for_each(|handle| handle.join().expect("work loop does not panic"))
+    })?;
 
     let state = scheduler.lock();
     let merged = state.landed.len();
@@ -392,7 +404,8 @@ fn persisted_shard_count(dir: &Path, requested: u64) -> Result<u64, FleetError> 
 }
 
 /// One worker's work connection: claim a shard, run it remotely, merge
-/// what came back, repeat until the run ends or the worker dies.
+/// what came back, repeat until the run ends or the worker dies. A
+/// failed merge ends the whole run with its error.
 fn work_loop(
     worker: &str,
     config: &FleetConfig,
@@ -400,14 +413,12 @@ fn work_loop(
     plan: &FleetPlan,
     scheduler: &Scheduler,
     results: &Mutex<File>,
-) {
+) -> Result<(), FleetError> {
     let mut client: Option<Client> = None;
     while let Some(shard_id) = scheduler.next_shard(worker) {
         let shard = plan.shard(shard_id).expect("scheduled shards are planned");
         let wire = shard_spec(
-            // `spec.corpus`/`dir` travel as strings; the plan already
-            // anchored them, so this cannot re-interpret paths.
-            config_dir(config),
+            &config.dir,
             spec,
             shard,
             config.worker_threads,
@@ -427,7 +438,12 @@ fn work_loop(
                     scheduler.wake.notify_all();
                     continue;
                 }
-                merge_outcomes(&outcomes, &mut state, results);
+                if let Err(e) = merge_outcomes(&outcomes, &mut state, results) {
+                    // The shard stays not-done: a re-run resumes it.
+                    state.failed = true;
+                    scheduler.wake.notify_all();
+                    return Err(e);
+                }
                 if state.done.contains(&shard_id) {
                     // Another worker finished our shard while a
                     // heartbeat timeout had us presumed dead; nothing
@@ -456,47 +472,45 @@ fn work_loop(
                 state.running.insert(worker.to_owned(), shard_id);
                 state.bury(worker);
                 scheduler.wake.notify_all();
-                return;
+                return Ok(());
             }
         }
     }
-}
-
-/// The fleet directory, borrowed with the lifetime the plan helpers
-/// want.
-fn config_dir(config: &FleetConfig) -> &Path {
-    &config.dir
+    Ok(())
 }
 
 /// Appends not-yet-landed outcome lines to the merged `results.jsonl`.
 ///
 /// Lines whose job index already landed (a resumed shard re-reporting
 /// history, or a shard finished twice across a heartbeat-timeout race)
-/// are dropped, so each job appears exactly once.
-fn merge_outcomes(outcomes: &str, state: &mut State, results: &Mutex<File>) {
-    let mut fresh = String::new();
-    let mut fresh_jobs = 0u64;
+/// are dropped, so each job appears exactly once. A job counts as landed
+/// only once its line is appended and flushed.
+fn merge_outcomes(
+    outcomes: &str,
+    state: &mut State,
+    results: &Mutex<File>,
+) -> Result<(), FleetError> {
+    let mut fresh = BTreeSet::new();
+    let mut text = String::new();
     for line in outcomes.lines() {
         let Ok(outcome) = JobOutcome::decode(line) else {
             continue;
         };
-        if state.landed.insert(outcome.index) {
-            fresh.push_str(line);
-            fresh.push('\n');
-            fresh_jobs += 1;
+        if !state.landed.contains(&outcome.index) && fresh.insert(outcome.index) {
+            text.push_str(line);
+            text.push('\n');
         }
     }
     if fresh.is_empty() {
-        return;
+        return Ok(());
     }
     let mut file = results.lock().unwrap_or_else(|e| e.into_inner());
-    if file
-        .write_all(fresh.as_bytes())
+    file.write_all(text.as_bytes())
         .and_then(|()| file.flush())
-        .is_ok()
-    {
-        clockmark_obs::counter_add("fleet.jobs_merged", fresh_jobs);
-    }
+        .map_err(|e| FleetError::io("appending merged results.jsonl", e))?;
+    clockmark_obs::counter_add("fleet.jobs_merged", fresh.len() as u64);
+    state.landed.append(&mut fresh);
+    Ok(())
 }
 
 /// Connects (or reuses) the work connection to `worker`.
@@ -570,7 +584,7 @@ fn supervise(config: &FleetConfig, scheduler: &Scheduler, total_jobs: u64) {
     loop {
         let progress = {
             let mut state = scheduler.lock();
-            if state.done.len() == scheduler.shard_count {
+            if state.finished(scheduler.shard_count) {
                 scheduler.wake.notify_all();
                 return;
             }
@@ -713,12 +727,64 @@ mod tests {
             std::thread::current().id()
         ));
         let file = Mutex::new(File::create(&path).expect("creates"));
-        merge_outcomes(&text, &mut state, &file);
-        merge_outcomes(&text, &mut state, &file);
+        merge_outcomes(&text, &mut state, &file).expect("appends");
+        merge_outcomes(&text, &mut state, &file).expect("appends");
         assert_eq!(state.landed.iter().copied().collect::<Vec<_>>(), vec![4]);
         let written = fs::read_to_string(&path).expect("reads");
         assert_eq!(written, format!("{}\n", outcome.encode()));
         fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_failed_append_lands_no_job() {
+        let outcome = JobOutcome {
+            index: 2,
+            trace: "t".to_owned(),
+            cycles: 10,
+            result: clockmark_cpa::DetectionResult {
+                detected: false,
+                peak_rotation: 0,
+                peak_rho: 0.0,
+                floor_max_abs: 0.0,
+                ratio: 0.0,
+                zscore: 0.0,
+            },
+        };
+        let path = std::env::temp_dir().join(format!(
+            "cm_fleet_merge_ro_{}_{:?}.jsonl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        fs::write(&path, "").expect("creates");
+        // A read-only handle: every append fails.
+        let file = Mutex::new(File::open(&path).expect("opens"));
+        let mut state = state_with(&[], &[]);
+        let err = merge_outcomes(&format!("{}\n", outcome.encode()), &mut state, &file)
+            .expect_err("a read-only handle cannot append");
+        assert!(matches!(err, FleetError::Io { .. }), "{err}");
+        assert!(state.landed.is_empty(), "nothing reached results.jsonl");
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn run_fleet_refuses_a_scenario_spec_before_touching_disk() {
+        let dir = std::env::temp_dir().join(format!(
+            "cm_fleet_scenario_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        fs::remove_dir_all(&dir).ok();
+        let spec = CampaignSpec::new("/nonexistent", vec![true, false, true], vec!["t".into()])
+            .with_scenario(clockmark::ScenarioSpec {
+                attack: clockmark::AttackSpec::Jamming {
+                    amplitude_watts: 0.4,
+                },
+                ..clockmark::ScenarioSpec::default()
+            });
+        let config = FleetConfig::new(&dir, vec!["127.0.0.1:9".to_owned()]);
+        let err = run_fleet(&config, spec).expect_err("scenario refused");
+        assert!(matches!(err, FleetError::Config { .. }), "{err}");
+        assert!(!dir.join("shards").exists(), "no shard directory created");
     }
 
     #[test]

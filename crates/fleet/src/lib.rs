@@ -9,11 +9,12 @@
 //!   workers ([`hash`]). Adding or removing one worker only moves the
 //!   shards that land on that worker's ring points — everything else
 //!   stays put, so a mostly-warm fleet stays warm.
-//! - **Shards are campaigns.** Each shard directory under
-//!   `<fleet>/shards/shard_<k>/` is a full mini-campaign over its trace
-//!   subset ([`plan`]): the PR-3 checkpoint machinery applies verbatim,
-//!   so a worker SIGKILLed mid-trace leaves a checkpoint that *any*
-//!   other worker resumes byte-identically.
+//! - **Shards are child campaigns.** Each shard directory under
+//!   `<fleet>/shards/shard_<k>/` is a full campaign whose spec is the
+//!   fleet spec narrowed to its trace subset ([`plan`]), sequential
+//!   schedule included: the checkpoint machinery applies verbatim, so a
+//!   worker SIGKILLed mid-trace leaves a checkpoint that *any* other
+//!   worker resumes byte-identically.
 //! - **The merged report is byte-identical.** Job outcomes carry their
 //!   campaign-global indices over the wire; the coordinator merges them
 //!   into one `results.jsonl` and writes the same `report.json` a
@@ -24,7 +25,7 @@
 //!   elsewhere; missed heartbeats or a dropped work connection requeue
 //!   a dead worker's shard for the survivors.
 //!
-//! The wire protocol is plain CMRPC1 version 3 (`ShardAssign` /
+//! The wire protocol is plain CMRPC1 version 5 (`ShardAssign` /
 //! `ShardResult` / `Heartbeat` frames, see `docs/fleet.md`): a fleet
 //! worker is just a `clockmark-serve` server with a [`ShardWorker`]
 //! installed, and keeps answering ping / status / detect / metrics like

@@ -3,16 +3,16 @@
 //! A [`FleetPlan`] is a pure function of the campaign spec and the
 //! shard count: every trace keeps its *campaign-global* job index (its
 //! position in `spec.traces`, exactly as a single-node run numbers it)
-//! and lands in the shard [`shard_of_trace`] names. Workers never see
-//! the global campaign — they run the shard directory as an ordinary
-//! mini-campaign — so the plan also carries the global index of each
-//! shard-local job, which is what rides the wire in
-//! [`ShardJob::index`](clockmark_serve::ShardJob) and lets the
-//! coordinator merge results under single-node numbering.
+//! and lands in the shard [`shard_of_trace`] names. A shard is a child
+//! campaign: its spec is the parent's with `traces` narrowed to the
+//! shard's bucket ([`ShardPlan::spec`]). Workers never see the global
+//! campaign, so the wire [`ShardSpec`] also carries the global index of
+//! each shard-local job, which lets the coordinator merge results under
+//! single-node numbering.
 
 use crate::hash::shard_of_trace;
 use clockmark::CampaignSpec;
-use clockmark_serve::{ShardJob, ShardSpec};
+use clockmark_serve::ShardSpec;
 use std::path::{Path, PathBuf};
 
 /// One shard of a fleet campaign: a stable id plus the jobs it covers.
@@ -28,6 +28,16 @@ impl ShardPlan {
     /// The shard's trace names, in shard-local job order.
     pub fn traces(&self) -> Vec<String> {
         self.jobs.iter().map(|(_, t)| t.clone()).collect()
+    }
+
+    /// The shard's child campaign spec: `parent` with `traces` narrowed
+    /// to this shard's jobs. Kernel, tuning and sequential schedule are
+    /// the parent's, so every job lands the single-node outcome.
+    pub fn spec(&self, parent: &CampaignSpec) -> CampaignSpec {
+        CampaignSpec {
+            traces: self.traces(),
+            ..parent.clone()
+        }
     }
 }
 
@@ -99,23 +109,11 @@ pub fn shard_spec(
         dir: shard_dir(fleet_dir, shard.shard_id)
             .to_string_lossy()
             .into_owned(),
-        corpus: spec.corpus.to_string_lossy().into_owned(),
-        pattern: spec.pattern.clone(),
-        criterion: spec.criterion,
-        algo: spec.algo,
-        checkpoint_cycles: spec.checkpoint_cycles,
-        chunk_cycles: spec.chunk_cycles as u64,
+        spec: shard.spec(spec).encode(),
         threads,
         max_jobs,
         interrupt_after_cycles,
-        jobs: shard
-            .jobs
-            .iter()
-            .map(|(index, trace)| ShardJob {
-                index: *index as u64,
-                trace: trace.clone(),
-            })
-            .collect(),
+        indices: shard.jobs.iter().map(|(index, _)| *index as u64).collect(),
     }
 }
 
@@ -169,14 +167,15 @@ mod tests {
         let wire = shard_spec(Path::new("/work/fleet"), &spec0, &plan.plans[0], 2, 0, 0);
         assert_eq!(wire.shard_id, 0);
         assert_eq!(wire.dir, "/work/fleet/shards/shard_0");
-        assert_eq!(wire.corpus, "/tmp/corpus");
-        assert_eq!(wire.pattern, spec0.pattern);
-        assert_eq!(wire.algo, spec0.algo);
-        assert_eq!(wire.checkpoint_cycles, spec0.checkpoint_cycles);
-        assert_eq!(wire.chunk_cycles, spec0.chunk_cycles as u64);
+        let child = CampaignSpec::decode(&wire.spec).expect("shard spec decodes");
+        assert_eq!(child.corpus, Path::new("/tmp/corpus"));
+        assert_eq!(child.pattern, spec0.pattern);
+        assert_eq!(child.algo, spec0.algo);
+        assert_eq!(child.checkpoint_cycles, spec0.checkpoint_cycles);
+        assert_eq!(child.chunk_cycles, spec0.chunk_cycles);
         assert_eq!(wire.threads, 2);
-        assert_eq!(wire.jobs.len(), 2);
-        assert_eq!(wire.jobs[0].index, 0);
-        assert_eq!(wire.jobs[1].trace, "b");
+        assert_eq!(wire.indices.len(), 2);
+        assert_eq!(wire.indices[0], 0);
+        assert_eq!(child.traces[1], "b");
     }
 }

@@ -60,43 +60,18 @@ impl ShardWorker {
         self
     }
 
-    fn run_shard(&self, spec: &ShardSpec) -> Result<ShardOutcome, CampaignError> {
-        let dir = PathBuf::from(&spec.dir);
-        let campaign_spec = CampaignSpec {
-            corpus: PathBuf::from(&spec.corpus),
-            pattern: spec.pattern.clone(),
-            traces: spec.jobs.iter().map(|j| j.trace.clone()).collect(),
-            criterion: spec.criterion,
-            checkpoint_cycles: spec.checkpoint_cycles,
-            chunk_cycles: spec.chunk_cycles as usize,
-            algo: spec.algo,
-            // Distributed shards run fixed-budget jobs: the shard wire
-            // format predates sequential and scenario campaigns, and a
-            // shard's report must stay byte-identical across
-            // mixed-version workers.
-            sequential: None,
-            scenario: None,
-        };
+    fn run_shard(
+        &self,
+        shard: &ShardSpec,
+        spec: CampaignSpec,
+    ) -> Result<ShardOutcome, CampaignError> {
+        let dir = PathBuf::from(&shard.dir);
         // Create the shard campaign on first contact, open (resume) it on
         // every later one — including the reassignment of a shard some
         // other worker died inside.
-        let campaign = if dir.join("campaign.json").exists() {
-            Campaign::open(&dir)?
-        } else {
-            match Campaign::create(&dir, campaign_spec) {
-                Ok(c) => c,
-                // Another assignment of the same shard raced us to the
-                // create; its spec is identical, so just open it.
-                Err(CampaignError::Io { source, .. })
-                    if source.kind() == std::io::ErrorKind::AlreadyExists =>
-                {
-                    Campaign::open(&dir)?
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        let threads = if spec.threads > 0 {
-            spec.threads as usize
+        let campaign = Campaign::open_or_create(&dir, spec)?;
+        let threads = if shard.threads > 0 {
+            shard.threads as usize
         } else {
             self.threads
         };
@@ -107,15 +82,15 @@ impl ShardWorker {
         };
 
         *self.in_flight.lock().unwrap_or_else(|e| e.into_inner()) = Some(InFlight {
-            shard_id: spec.shard_id,
+            shard_id: shard.shard_id,
             dir: dir.clone(),
-            jobs_total: spec.jobs.len() as u64,
+            jobs_total: shard.indices.len() as u64,
         });
 
         let limits = CampaignLimits {
-            max_jobs: (spec.max_jobs > 0).then_some(spec.max_jobs as usize),
-            interrupt_job_after_cycles: (spec.interrupt_after_cycles > 0)
-                .then_some(spec.interrupt_after_cycles),
+            max_jobs: (shard.max_jobs > 0).then_some(shard.max_jobs as usize),
+            interrupt_job_after_cycles: (shard.interrupt_after_cycles > 0)
+                .then_some(shard.interrupt_after_cycles),
         };
         let run = campaign.run(&limits);
         *self.in_flight.lock().unwrap_or_else(|e| e.into_inner()) = None;
@@ -125,7 +100,7 @@ impl ShardWorker {
         // coordinator merges by; sort so the payload is deterministic.
         let mut outcomes = campaign.completed_outcomes()?;
         for outcome in &mut outcomes {
-            outcome.index = spec.jobs[outcome.index].index as usize;
+            outcome.index = shard.indices[outcome.index] as usize;
         }
         outcomes.sort_by_key(|o| o.index);
         let mut text = String::with_capacity(outcomes.len() * 160);
@@ -140,7 +115,7 @@ impl ShardWorker {
         }
         clockmark_obs::counter_add("fleet.worker_jobs_done", outcomes.len() as u64);
         Ok(ShardOutcome {
-            shard_id: spec.shard_id,
+            shard_id: shard.shard_id,
             complete: status.is_complete(),
             outcomes: text,
         })
@@ -148,20 +123,40 @@ impl ShardWorker {
 }
 
 impl FleetService for ShardWorker {
-    fn assign(&self, spec: &ShardSpec) -> Result<ShardOutcome, (ErrorCode, String)> {
-        if spec.jobs.is_empty() {
-            return Err((
+    fn assign(&self, shard: &ShardSpec) -> Result<ShardOutcome, (ErrorCode, String)> {
+        let malformed = |message: String| {
+            (
                 ErrorCode::Malformed,
-                format!("shard {} carries no jobs", spec.shard_id),
+                format!("shard {}: {message}", shard.shard_id),
+            )
+        };
+        let spec = CampaignSpec::decode(&shard.spec).map_err(|e| malformed(e.to_string()))?;
+        // `decode` fills what a legacy `campaign.json` omits — above all
+        // the kernel, from the pattern heuristic. A shard must carry the
+        // coordinator's exact encoding instead: a kernel each worker
+        // resolved itself could break byte identity in the last ulp.
+        if spec.encode() != shard.spec {
+            return Err(malformed(
+                "spec must be canonically encoded, with its spectrum kernel pinned".to_owned(),
             ));
         }
-        self.run_shard(spec).map_err(|e| {
+        if spec.traces.is_empty() {
+            return Err(malformed("carries no jobs".to_owned()));
+        }
+        if shard.indices.len() != spec.traces.len() {
+            return Err(malformed(format!(
+                "{} job indices for {} traces",
+                shard.indices.len(),
+                spec.traces.len()
+            )));
+        }
+        self.run_shard(shard, spec).map_err(|e| {
             let code = match &e {
                 CampaignError::Corpus(_) => ErrorCode::Corpus,
                 CampaignError::Cpa(_) => ErrorCode::Cpa,
                 _ => ErrorCode::Internal,
             };
-            (code, format!("shard {}: {e}", spec.shard_id))
+            (code, format!("shard {}: {e}", shard.shard_id))
         })
     }
 
@@ -223,19 +218,46 @@ mod tests {
         let spec = ShardSpec {
             shard_id: 9,
             dir: "/nonexistent".to_owned(),
-            corpus: "/nonexistent".to_owned(),
-            pattern: vec![true, false],
-            criterion: clockmark_cpa::DetectionCriterion::default(),
-            algo: clockmark_cpa::CpaAlgo::Folded,
-            checkpoint_cycles: 0,
-            chunk_cycles: 256,
+            spec: CampaignSpec::new("/nonexistent", vec![true, false], Vec::new()).encode(),
             threads: 0,
             max_jobs: 0,
             interrupt_after_cycles: 0,
-            jobs: Vec::new(),
+            indices: Vec::new(),
         };
         let (code, message) = worker.assign(&spec).expect_err("no jobs");
         assert_eq!(code, ErrorCode::Malformed);
         assert!(message.contains("shard 9"), "{message}");
+    }
+
+    #[test]
+    fn a_shard_spec_without_a_pinned_kernel_is_malformed() {
+        // A shard may not leave the kernel to the worker's heuristic, or
+        // byte identity across workers would depend on each node.
+        let worker = ShardWorker::new();
+        let mut spec = CampaignSpec::new("/nonexistent", vec![true, false], vec!["t".to_owned()]);
+        spec.algo = clockmark_cpa::CpaAlgo::Fft;
+        let pinned = spec.encode();
+        let unpinned = pinned.replace(",\"algo\":\"fft\"", "");
+        assert_ne!(unpinned, pinned);
+        let shard = |spec: String, indices: Vec<u64>| ShardSpec {
+            shard_id: 4,
+            dir: "/nonexistent".to_owned(),
+            spec,
+            threads: 0,
+            max_jobs: 0,
+            interrupt_after_cycles: 0,
+            indices,
+        };
+        let (code, message) = worker
+            .assign(&shard(unpinned, vec![0]))
+            .expect_err("no kernel");
+        assert_eq!(code, ErrorCode::Malformed);
+        assert!(message.contains("spectrum kernel"), "{message}");
+        // One campaign-global index per trace, no more and no fewer.
+        let (code, message) = worker
+            .assign(&shard(pinned, vec![0, 1]))
+            .expect_err("index count");
+        assert_eq!(code, ErrorCode::Malformed);
+        assert!(message.contains("shard 4"), "{message}");
     }
 }

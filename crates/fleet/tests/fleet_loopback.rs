@@ -5,7 +5,9 @@
 //! 2. a worker address that never answers does not sink the fleet —
 //!    its shards are reassigned to the survivors;
 //! 3. interrupted shard assignments (the straggler/test hook) are
-//!    requeued and drained to the same bytes.
+//!    requeued and drained to the same bytes;
+//! 4. a sequential spec's shards run its schedule, so the merged report
+//!    still matches the single node byte for byte.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -197,4 +199,38 @@ fn interrupted_assignments_drain_to_the_same_bytes() {
         "checkpoint-interrupted shards still merge to identical bytes"
     );
     worker.shutdown();
+}
+
+#[test]
+fn sequential_fleet_report_is_byte_identical_to_single_node() {
+    let dir = TempDir::new("sequential");
+    let pattern = pattern();
+    let spec = build_fixture(&dir.0, &pattern, 5, 30_000)
+        .with_sequential(clockmark_cpa::SequentialOptions::every(1_000));
+    let reference = reference_report(&dir.0, spec.clone());
+    // The schedule must bite, or this test would not tell a sequential
+    // shard from a fixed-budget one.
+    let text = String::from_utf8(reference.clone()).expect("utf-8 report");
+    assert!(
+        !text.contains("\"cycles\":30000,\"detected\":true"),
+        "every marked job stops early: {text}"
+    );
+
+    let workers: Vec<ServerHandle> = (0..2).map(|_| spawn_worker()).collect();
+    let addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
+    let mut config = FleetConfig::new(dir.0.join("fleet"), addrs);
+    config.shards = 4;
+    config.worker_threads = 1;
+    config.heartbeat_interval = Duration::from_millis(100);
+    let summary = run_fleet(&config, spec).expect("fleet completes");
+    assert_eq!(summary.merged_jobs, 6);
+
+    let merged = fs::read(&summary.report_path).expect("reads merged");
+    assert_eq!(
+        merged, reference,
+        "sequential fleet report.json must be byte-identical to the single-node run"
+    );
+    for worker in workers {
+        worker.shutdown();
+    }
 }

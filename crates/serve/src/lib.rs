@@ -88,6 +88,6 @@ pub use error::ServeError;
 pub use poll::raise_nofile_limit;
 pub use protocol::{
     mint_span_id, mint_trace_id, trace_id_hex, ErrorCode, Request, Response, ServerStatus,
-    ShardJob, ShardSpec, WorkerHeartbeat, MAGIC, PROTOCOL_VERSION, TRACE_ID_LEN,
+    ShardSpec, WorkerHeartbeat, MAGIC, PROTOCOL_VERSION, TRACE_ID_LEN,
 };
 pub use server::{FleetService, ServeLimits, Server, ServerHandle, ShardOutcome};

@@ -1259,7 +1259,7 @@ fn handle_request_inner(
             // signal and heartbeats on a separate one.
             let span = clockmark_obs::span("serve.shard")
                 .field("shard_id", spec.shard_id)
-                .field("jobs", spec.jobs.len() as u64);
+                .field("jobs", spec.indices.len() as u64);
             let outcome = fleet.assign(&spec);
             drop(span);
             match outcome {
