@@ -154,11 +154,11 @@ impl Attack for ClockJitterAttack {
         if self.sigma_cycles == 0.0 || samples.is_empty() {
             return;
         }
+        // In place, back to front: sample `i` reads no index above `i`.
         let seed = mix_seed(ctx.seed, 0x4a49_5454); // "JITT" sub-stream
-        let src = samples.clone();
-        for (i, out) in samples.iter_mut().enumerate() {
+        for i in (0..samples.len()).rev() {
             let d = (hash_gaussian(seed, i as u64).abs() * self.sigma_cycles).round() as usize;
-            *out = src[i - d.min(i)];
+            samples[i] = samples[i - d.min(i)];
         }
     }
 }
@@ -184,11 +184,11 @@ impl Attack for DvfsAttack {
         }
         let seed = mix_seed(ctx.seed, 0x4456_4653); // "DVFS" sub-stream
         let dwell = self.dwell_cycles.max(1) as usize;
-        let src = samples.clone();
-        for (i, out) in samples.iter_mut().enumerate() {
+        // In place, back to front, as for clock jitter.
+        for i in (0..samples.len()).rev() {
             let segment = (i / dwell) as u64;
             let shift = (mix_seed(seed, segment) % (self.max_shift + 1)) as usize;
-            *out = src[i - shift.min(i)];
+            samples[i] = samples[i - shift.min(i)];
         }
     }
 }

@@ -9,16 +9,10 @@
 //! [`StreamingDetection::push_chunk`], so a trace is never fully
 //! resident.
 //!
-//! Everything a campaign learns is persisted as it happens:
-//!
-//! ```text
-//! campaign/
-//!   campaign.json        # the spec, written once at creation (tmp+rename)
-//!   results.jsonl        # append-only completed-job outcomes (flushed per line)
-//!   checkpoints/
-//!     job_<idx>.ckpt     # binary mid-flight fold snapshots (tmp+rename)
-//!   report.json          # final report, written when the last job lands
-//! ```
+//! Everything a campaign learns is persisted as it happens, through the
+//! one campaign-directory store, [`CampaignDir`]: the spec once at
+//! creation, each landed outcome as a flushed `results.jsonl` line,
+//! mid-flight fold snapshots as checkpoints, and the final report.
 //!
 //! Kill the process at any instant — between jobs, mid-trace, even
 //! mid-append (the torn last line of `results.jsonl` is tolerated) — and
@@ -38,14 +32,15 @@ use clockmark_cpa::{
     SequentialOptions, StreamingCpaState, StreamingDetection,
 };
 use clockmark_obs::json::{self, Json};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Mutex;
-use std::time::Instant;
+use store::ProgressBoard;
+
+mod store;
+pub use store::{
+    CampaignDir, CampaignProgress, Landed, ResultsLog, FLEET_FILE, MATRIX_FILE, PROGRESS_EVERY,
+    REPORT_FILE, SPEC_FILE,
+};
 
 /// Magic bytes leading a checkpoint file. Version 2 added the spectrum
 /// kernel byte; version-1 checkpoints fail the magic check and are
@@ -281,12 +276,7 @@ impl CampaignSpec {
     pub fn decode(text: &str) -> Result<Self, CampaignError> {
         let value =
             json::parse(text).map_err(|e| CampaignError::spec(format!("invalid JSON: {e}")))?;
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| CampaignError::spec(format!("missing numeric field `{key}`")))
-        };
+        let num_field = |key: &str| decode_num(&value, key);
         let pattern = decode_pattern(&value)?;
         // Specs written before the kernel was recorded lack the field;
         // resolve those from the pattern heuristic, never from the
@@ -393,6 +383,14 @@ pub(crate) fn encode_source(out: &mut String, corpus: &Path, pattern: &[bool], t
     out.push(']');
 }
 
+/// A required numeric field of a spec object or a results line.
+fn decode_num(value: &Json, key: &str) -> Result<f64, CampaignError> {
+    value
+        .get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| CampaignError::spec(format!("missing numeric field `{key}`")))
+}
+
 /// A required string field of a spec object.
 pub(crate) fn decode_str<'v>(value: &'v Json, key: &str) -> Result<&'v str, CampaignError> {
     value
@@ -487,24 +485,14 @@ impl JobOutcome {
     pub fn decode(text: &str) -> Result<Self, CampaignError> {
         let value =
             json::parse(text).map_err(|e| CampaignError::spec(format!("invalid JSON: {e}")))?;
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| CampaignError::spec(format!("missing numeric field `{key}`")))
-        };
+        let num_field = |key: &str| decode_num(&value, key);
         let detected = match value.get("detected") {
             Some(Json::Bool(b)) => *b,
             _ => return Err(CampaignError::spec("missing boolean field `detected`")),
         };
-        let trace = value
-            .get("trace")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CampaignError::spec("missing string field `trace`"))?
-            .to_owned();
         Ok(JobOutcome {
             index: num_field("index")? as usize,
-            trace,
+            trace: decode_str(&value, "trace")?.to_owned(),
             cycles: num_field("cycles")? as u64,
             result: DetectionResult {
                 detected,
@@ -626,7 +614,7 @@ impl CampaignReport {
 /// [`CampaignStatus::is_complete`].
 #[derive(Debug)]
 pub struct Campaign {
-    dir: PathBuf,
+    store: CampaignDir,
     spec: CampaignSpec,
     threads: usize,
 }
@@ -640,26 +628,10 @@ impl Campaign {
     /// Returns the spec's [`validate`](CampaignSpec::validate) errors and
     /// [`CampaignError::Io`] on filesystem failure.
     pub fn create(dir: impl Into<PathBuf>, spec: CampaignSpec) -> Result<Self, CampaignError> {
-        let dir = dir.into();
+        let store = CampaignDir::new(dir);
         spec.validate()?;
-        let spec_path = dir.join("campaign.json");
-        if spec_path.exists() {
-            return Err(CampaignError::io(
-                format!("creating campaign at {}", dir.display()),
-                std::io::Error::new(
-                    std::io::ErrorKind::AlreadyExists,
-                    "campaign.json already exists",
-                ),
-            ));
-        }
-        fs::create_dir_all(dir.join("checkpoints"))
-            .map_err(|e| CampaignError::io(format!("creating {}", dir.display()), e))?;
-        write_atomic(&spec_path, format!("{}\n", spec.encode()).as_bytes())?;
-        Ok(Campaign {
-            dir,
-            spec,
-            threads: clockmark_cpa::thread_count(),
-        })
+        store.create(SPEC_FILE, "checkpoints", &spec.encode())?;
+        Ok(Campaign::at(store, spec))
     }
 
     /// Opens an existing campaign by reading its spec.
@@ -669,17 +641,19 @@ impl Campaign {
     /// Returns [`CampaignError::Io`] when the spec cannot be read and
     /// [`CampaignError::Spec`] when it is malformed.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CampaignError> {
-        let dir = dir.into();
-        let spec_path = dir.join("campaign.json");
-        let text = fs::read_to_string(&spec_path)
-            .map_err(|e| CampaignError::io(format!("reading {}", spec_path.display()), e))?;
-        let spec = CampaignSpec::decode(text.trim())?;
+        let store = CampaignDir::new(dir);
+        let spec = CampaignSpec::decode(&store.read(SPEC_FILE)?)?;
         spec.validate()?;
-        Ok(Campaign {
-            dir,
+        Ok(Campaign::at(store, spec))
+    }
+
+    fn at(store: CampaignDir, spec: CampaignSpec) -> Self {
+        let threads = clockmark_cpa::thread_count();
+        Campaign {
+            store,
             spec,
-            threads: clockmark_cpa::thread_count(),
-        })
+            threads,
+        }
     }
 
     /// Opens the campaign at `dir` if it holds a `campaign.json`, else
@@ -696,7 +670,7 @@ impl Campaign {
         spec: CampaignSpec,
     ) -> Result<Self, CampaignError> {
         let dir = dir.into();
-        if dir.join("campaign.json").exists() {
+        if CampaignDir::new(&dir).holds(SPEC_FILE) {
             return Campaign::open(dir);
         }
         match Campaign::create(&dir, spec) {
@@ -711,7 +685,12 @@ impl Campaign {
 
     /// The campaign directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.root()
+    }
+
+    /// The store every file of the campaign directory goes through.
+    pub fn store(&self) -> &CampaignDir {
+        &self.store
     }
 
     /// The campaign spec.
@@ -738,89 +717,14 @@ impl Campaign {
             .collect()
     }
 
-    fn results_path(&self) -> PathBuf {
-        self.dir.join("results.jsonl")
+    /// The landed outcomes, keyed by job index.
+    fn load_results(&self) -> Result<Landed, CampaignError> {
+        Ok(self.store.read_results(self.spec.traces.len())?.0)
     }
 
-    fn report_path(&self) -> PathBuf {
-        self.dir.join("report.json")
-    }
-
-    fn progress_path(&self) -> PathBuf {
-        self.dir.join("progress.json")
-    }
-
-    /// The most recent live-progress snapshot published by a worker, or
-    /// `None` when no run has published one (or the file is unreadable
-    /// or malformed — progress is best-effort telemetry, never load-
-    /// bearing state).
-    pub fn live_progress(&self) -> Option<CampaignProgress> {
-        let text = fs::read_to_string(self.progress_path()).ok()?;
-        CampaignProgress::decode(&text)
-    }
-
-    fn checkpoint_path(&self, index: usize) -> PathBuf {
-        self.dir
-            .join("checkpoints")
-            .join(format!("job_{index}.ckpt"))
-    }
-
-    /// Loads the persisted outcomes, keyed by job index.
-    ///
-    /// A torn *final* line — the signature a kill mid-append leaves — is
-    /// tolerated (that job simply reruns); malformed lines anywhere else
-    /// are real corruption and fail loudly. Duplicate indices keep the
-    /// last occurrence, so a crash between "append result" and "delete
-    /// checkpoint" (which makes the job rerun and re-append) stays
-    /// harmless.
-    fn load_results(&self) -> Result<BTreeMap<usize, JobOutcome>, CampaignError> {
-        Ok(self.load_results_detailed()?.0)
-    }
-
-    /// [`load_results`](Campaign::load_results) plus whether a torn tail
-    /// was skipped — [`run`](Campaign::run) repairs the log in that case
-    /// so fresh appends never concatenate onto the garbage.
-    fn load_results_detailed(&self) -> Result<(BTreeMap<usize, JobOutcome>, bool), CampaignError> {
-        let path = self.results_path();
-        let mut map = BTreeMap::new();
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((map, false)),
-            Err(e) => return Err(CampaignError::io(format!("reading {}", path.display()), e)),
-        };
-        let mut torn = false;
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        for (i, line) in lines.iter().enumerate() {
-            match JobOutcome::decode(line) {
-                Ok(outcome) => {
-                    if outcome.index >= self.spec.traces.len() {
-                        return Err(CampaignError::spec(format!(
-                            "results line {} names job {} but the campaign has {} jobs",
-                            i + 1,
-                            outcome.index,
-                            self.spec.traces.len()
-                        )));
-                    }
-                    map.insert(outcome.index, outcome);
-                }
-                Err(_) if i + 1 == lines.len() => {
-                    torn = true;
-                    clockmark_obs::counter_add("campaign.torn_results_lines", 1);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((map, torn))
-    }
-
-    /// The persisted outcomes so far, in job-index order — the public
-    /// read of the results log, with the same torn-tail tolerance and
-    /// last-wins dedup a resume applies.
-    ///
-    /// A fleet worker uses this to hand an interrupted shard's partial
-    /// results back to the coordinator: the log is valid (and the
-    /// outcome encoding byte-stable) at every interruption point the
-    /// checkpoint machinery can produce.
+    /// The persisted outcomes so far, in job-index order, read with the
+    /// torn-tail tolerance and last-wins dedup a resume applies (how a
+    /// fleet worker hands a shard's results back).
     ///
     /// # Errors
     ///
@@ -837,7 +741,7 @@ impl Campaign {
     pub fn status(&self) -> Result<CampaignStatus, CampaignError> {
         let completed = self.load_results()?;
         let checkpointed = (0..self.spec.traces.len())
-            .filter(|index| !completed.contains_key(index) && self.checkpoint_path(*index).exists())
+            .filter(|index| !completed.contains_key(index) && self.store.has_checkpoint(*index))
             .count();
         Ok(CampaignStatus {
             total: self.spec.traces.len(),
@@ -895,23 +799,7 @@ impl Campaign {
             }
         }
 
-        let (completed, torn) = self.load_results_detailed()?;
-        if torn {
-            // A kill mid-append left a partial record without a trailing
-            // newline; rewrite the log from the intact records (atomic)
-            // so the rerun job's fresh line does not concatenate onto it.
-            let mut text = String::new();
-            for outcome in completed.values() {
-                text.push_str(&outcome.encode());
-                text.push('\n');
-            }
-            write_atomic(&self.results_path(), text.as_bytes())?;
-        }
-        // A crash between "append result" and "delete checkpoint" leaves a
-        // stale snapshot behind; sweep those before claiming work.
-        for index in completed.keys() {
-            let _ = fs::remove_file(self.checkpoint_path(*index));
-        }
+        let (results, completed) = self.store.open_results(self.spec.traces.len())?;
         let mut pending: Vec<JobSpec> = self
             .jobs()
             .into_iter()
@@ -922,45 +810,35 @@ impl Campaign {
         }
 
         if !pending.is_empty() {
-            let path = self.results_path();
-            let file = OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(&path)
-                .map_err(|e| CampaignError::io(format!("opening {}", path.display()), e))?;
-            let results = Mutex::new(file);
-            let board = ProgressBoard::new(
-                self.progress_path(),
-                self.spec.traces.len() as u64,
-                completed.len() as u64,
-            );
-            board.publish();
-            let t0 = Instant::now();
-            let finished: Vec<Result<Option<JobOutcome>, CampaignError>> =
+            let board = ProgressBoard::new(self.spec.traces.len() as u64, completed.len() as u64);
+            let options = self.detect_options(pending.len());
+            let finished = board.publish_while(&self.store, || {
                 parallel_map(&pending, self.threads, |job| {
-                    self.run_job(&corpus, job, &results, limits, &board)
-                });
-            let landed = finished.iter().filter(|r| matches!(r, Ok(Some(_)))).count();
+                    self.run_job(&corpus, job, options, &results, limits, &board)
+                })
+            });
             for result in finished {
                 result?;
-            }
-            if clockmark_obs::enabled() {
-                let wall = t0.elapsed().as_secs_f64();
-                if wall > 0.0 {
-                    clockmark_obs::gauge_set("campaign.jobs_per_sec", landed as f64 / wall);
-                }
             }
         }
 
         let status = self.status()?;
         if status.is_complete() {
-            let report = self.report()?;
-            write_atomic(
-                &self.report_path(),
-                format!("{}\n", report.encode()).as_bytes(),
-            )?;
+            self.write_report()?;
         }
         Ok(status)
+    }
+
+    /// Builds the final report and writes it to `report.json`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the errors of [`report`](Campaign::report) and
+    /// [`CampaignError::Io`] when the file cannot be written.
+    pub fn write_report(&self) -> Result<CampaignReport, CampaignError> {
+        let report = self.report()?;
+        self.store.replace(REPORT_FILE, &report.encode())?;
+        Ok(report)
     }
 
     /// Runs one job to completion (or to an injected interrupt, returning
@@ -969,7 +847,8 @@ impl Campaign {
         &self,
         corpus: &Corpus,
         job: &JobSpec,
-        results: &Mutex<File>,
+        options: DetectOptions,
+        results: &ResultsLog,
         limits: &CampaignLimits,
         board: &ProgressBoard,
     ) -> Result<Option<JobOutcome>, CampaignError> {
@@ -978,7 +857,7 @@ impl Campaign {
             // path below — that is what makes its report byte-for-byte a
             // plain campaign's.
             if !scenario.is_identity() {
-                return self.run_job_scenario(corpus, job, results, board, scenario);
+                return self.run_job_scenario(corpus, job, options, results, board, scenario);
             }
         }
         let mode = if self.spec.sequential.is_some() {
@@ -999,7 +878,7 @@ impl Campaign {
         // The kernel recorded in the spec is pinned on the facade, so
         // neither the environment nor the work heuristic can change the
         // arithmetic between a run and its resume.
-        let facade = self.detector()?;
+        let facade = Detector::with_options(&self.spec.pattern, options)?;
         let mut session = match self.restore_checkpoint(&facade, job, trace_cycles) {
             Some(session) => session,
             None => facade.detect_streaming(),
@@ -1041,13 +920,11 @@ impl Campaign {
             }
             if self.spec.checkpoint_cycles > 0 && since_checkpoint >= self.spec.checkpoint_cycles {
                 self.write_checkpoint(job, &session.state())?;
-                board.publish();
                 since_checkpoint = 0;
             }
             if let Some(limit) = limits.interrupt_job_after_cycles {
                 if ingested >= limit && reader.remaining() > 0 {
                     self.write_checkpoint(job, &session.state())?;
-                    board.publish();
                     return Ok(None);
                 }
             }
@@ -1091,7 +968,8 @@ impl Campaign {
         &self,
         corpus: &Corpus,
         job: &JobSpec,
-        results: &Mutex<File>,
+        options: DetectOptions,
+        results: &ResultsLog,
         board: &ProgressBoard,
         scenario: &ScenarioSpec,
     ) -> Result<Option<JobOutcome>, CampaignError> {
@@ -1104,7 +982,7 @@ impl Campaign {
         // A stale checkpoint can only be left by a crashed run of the
         // same spec, and scenario jobs never write one; sweep anyway so
         // a hand-edited spec cannot resurrect a foreign snapshot.
-        let _ = fs::remove_file(self.checkpoint_path(job.index));
+        self.store.remove_checkpoint(job.index);
 
         let mut reader = corpus.source(&job.trace)?;
         let trace_cycles = reader.header().cycles;
@@ -1124,8 +1002,7 @@ impl Campaign {
         let result = run_scenario_detection(
             scenario,
             &self.spec.pattern,
-            &self.spec.criterion,
-            self.spec.algo,
+            options,
             job.index,
             &mut samples,
         )?;
@@ -1146,36 +1023,33 @@ impl Campaign {
         &self,
         job: &JobSpec,
         outcome: JobOutcome,
-        results: &Mutex<File>,
+        results: &ResultsLog,
         board: &ProgressBoard,
     ) -> Result<Option<JobOutcome>, CampaignError> {
-        {
-            let mut file = results
-                .lock()
-                .map_err(|_| CampaignError::spec("results lock poisoned"))?;
-            let mut line = outcome.encode();
-            line.push('\n');
-            file.write_all(line.as_bytes())
-                .map_err(|e| CampaignError::io("appending results.jsonl", e))?;
-            file.flush()
-                .map_err(|e| CampaignError::io("flushing results.jsonl", e))?;
-        }
-        let _ = fs::remove_file(self.checkpoint_path(job.index));
+        results
+            .append(&format!("{}\n", outcome.encode()))
+            .map_err(|e| CampaignError::io("appending results.jsonl", e))?;
+        self.store.remove_checkpoint(job.index);
         clockmark_obs::counter_add("campaign.jobs_completed", 1);
-        board.note_job_done();
+        board.note_landed();
         Ok(Some(outcome))
     }
 
-    /// The [`Detector`] facade every job of this campaign detects
-    /// through: the campaign's pattern with the recorded kernel and
-    /// criterion pinned.
-    fn detector(&self) -> Result<Detector, CampaignError> {
-        Ok(Detector::with_options(
-            &self.spec.pattern,
-            DetectOptions::default()
-                .with_algo(self.spec.algo)
-                .with_criterion(self.spec.criterion),
-        )?)
+    /// The options every job of a run over `pending` jobs detects with:
+    /// the recorded kernel and criterion pinned. A batch spectrum (a
+    /// scenario job's verification) keeps to one thread while there are
+    /// at least as many jobs as worker threads to fill the cores, and
+    /// auto-sizes when there are fewer. Every thread count gives the same
+    /// spectrum.
+    fn detect_options(&self, pending: usize) -> DetectOptions {
+        let options = DetectOptions::default()
+            .with_algo(self.spec.algo)
+            .with_criterion(self.spec.criterion);
+        if pending >= self.threads.max(1) {
+            options.with_threads(1)
+        } else {
+            options
+        }
     }
 
     /// Restores a job's session from its checkpoint, or `None` to start
@@ -1190,8 +1064,7 @@ impl Campaign {
         job: &JobSpec,
         trace_cycles: u64,
     ) -> Option<StreamingDetection> {
-        let path = self.checkpoint_path(job.index);
-        let bytes = fs::read(&path).ok()?;
+        let bytes = self.store.read_checkpoint(job.index)?;
         let session = decode_checkpoint(&bytes)
             .ok()
             .filter(|(index, trace, algo, state)| {
@@ -1202,173 +1075,25 @@ impl Campaign {
             })
             .and_then(|(.., state)| facade.resume_streaming(state).ok());
         if session.is_none() {
-            let _ = fs::remove_file(&path);
+            self.store.remove_checkpoint(job.index);
             clockmark_obs::counter_add("campaign.checkpoints_discarded", 1);
         }
         session
     }
 
-    /// Snapshots a job's fold to disk (tmp + rename, so a kill mid-write
-    /// leaves the previous checkpoint intact).
+    /// Snapshots a job's fold to disk (replaced whole, so a kill
+    /// mid-write leaves the previous checkpoint intact).
     fn write_checkpoint(
         &self,
         job: &JobSpec,
         state: &StreamingCpaState,
     ) -> Result<(), CampaignError> {
         let bytes = encode_checkpoint(job.index, &job.trace, self.spec.algo, state);
-        let path = self.checkpoint_path(job.index);
-        write_atomic(&path, &bytes)?;
+        self.store.write_checkpoint(job.index, &bytes)?;
         clockmark_obs::counter_add("campaign.checkpoints_written", 1);
         clockmark_obs::counter_add("campaign.checkpoint_bytes", bytes.len() as u64);
         Ok(())
     }
-}
-
-/// A live-progress snapshot of a running campaign, as published to
-/// `progress.json` by worker threads after every landed job and every
-/// checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CampaignProgress {
-    /// Jobs landed so far (including before this run started).
-    pub done: u64,
-    /// Total jobs in the campaign.
-    pub total: u64,
-    /// Trace cycles ingested by the current run.
-    pub cycles: u64,
-    /// Ingest throughput of the current run, in cycles per second.
-    pub cycles_per_sec: f64,
-    /// Completion throughput of the current run, in jobs per second.
-    pub jobs_per_sec: f64,
-    /// Estimated seconds until the remaining jobs land at the current
-    /// throughput (zero until at least one job of this run has landed).
-    pub eta_seconds: f64,
-    /// Milliseconds the publishing run had been underway.
-    pub elapsed_ms: u64,
-}
-
-impl CampaignProgress {
-    /// Encodes the snapshot as one JSON object.
-    pub fn encode(&self) -> String {
-        format!(
-            "{{\"done\":{},\"total\":{},\"cycles\":{},\"cycles_per_sec\":{},\
-             \"jobs_per_sec\":{},\"eta_seconds\":{},\"elapsed_ms\":{}}}",
-            self.done,
-            self.total,
-            self.cycles,
-            self.cycles_per_sec,
-            self.jobs_per_sec,
-            self.eta_seconds,
-            self.elapsed_ms
-        )
-    }
-
-    /// Decodes a snapshot; `None` on any malformation (a torn write is
-    /// indistinguishable from garbage, and both just mean "no live
-    /// progress to show").
-    pub fn decode(text: &str) -> Option<Self> {
-        let v = json::parse(text.trim()).ok()?;
-        let num = |k: &str| v.get(k).and_then(Json::as_f64);
-        Some(CampaignProgress {
-            done: num("done")? as u64,
-            total: num("total")? as u64,
-            cycles: num("cycles")? as u64,
-            cycles_per_sec: num("cycles_per_sec")?,
-            jobs_per_sec: num("jobs_per_sec")?,
-            eta_seconds: num("eta_seconds")?,
-            elapsed_ms: num("elapsed_ms")? as u64,
-        })
-    }
-}
-
-/// Shared by a run's worker threads: counts landed jobs and ingested
-/// cycles, publishes gauges plus `progress.json` so `campaign status`
-/// (even in another process) sees live throughput.
-struct ProgressBoard {
-    path: PathBuf,
-    total: u64,
-    base_done: u64,
-    done: AtomicU64,
-    cycles: AtomicU64,
-    t0: Instant,
-}
-
-impl ProgressBoard {
-    fn new(path: PathBuf, total: u64, base_done: u64) -> Self {
-        ProgressBoard {
-            path,
-            total,
-            base_done,
-            done: AtomicU64::new(0),
-            cycles: AtomicU64::new(0),
-            t0: Instant::now(),
-        }
-    }
-
-    fn note_cycles(&self, n: u64) {
-        self.cycles.fetch_add(n, AtomicOrdering::Relaxed);
-    }
-
-    fn note_job_done(&self) {
-        self.done.fetch_add(1, AtomicOrdering::Relaxed);
-        self.publish();
-    }
-
-    fn snapshot(&self) -> CampaignProgress {
-        let elapsed = self.t0.elapsed().as_secs_f64();
-        let run_done = self.done.load(AtomicOrdering::Relaxed);
-        let done = self.base_done + run_done;
-        let cycles = self.cycles.load(AtomicOrdering::Relaxed);
-        let jobs_per_sec = if elapsed > 0.0 {
-            run_done as f64 / elapsed
-        } else {
-            0.0
-        };
-        let remaining = self.total.saturating_sub(done);
-        CampaignProgress {
-            done,
-            total: self.total,
-            cycles,
-            cycles_per_sec: if elapsed > 0.0 {
-                cycles as f64 / elapsed
-            } else {
-                0.0
-            },
-            jobs_per_sec,
-            eta_seconds: if jobs_per_sec > 0.0 {
-                remaining as f64 / jobs_per_sec
-            } else {
-                0.0
-            },
-            elapsed_ms: (elapsed * 1e3) as u64,
-        }
-    }
-
-    /// Publishes gauges and the atomic `progress.json`. Best-effort: a
-    /// publish failure never fails the campaign.
-    fn publish(&self) {
-        let p = self.snapshot();
-        clockmark_obs::gauge_set("campaign.jobs_done", p.done as f64);
-        clockmark_obs::gauge_set("campaign.jobs_total", p.total as f64);
-        clockmark_obs::gauge_set("campaign.cycles_per_sec", p.cycles_per_sec);
-        clockmark_obs::gauge_set("campaign.eta_seconds", p.eta_seconds);
-        let _ = write_atomic(&self.path, format!("{}\n", p.encode()).as_bytes());
-    }
-}
-
-/// Writes `bytes` to `path` through a temp file + rename, so readers
-/// never observe a torn file. A process kill leaves either the old or
-/// the new contents; nothing is fsynced, so power loss may not.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CampaignError> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes)
-        .map_err(|e| CampaignError::io(format!("writing {}", tmp.display()), e))?;
-    fs::rename(&tmp, path).map_err(|e| {
-        CampaignError::io(
-            format!("renaming {} over {}", tmp.display(), path.display()),
-            e,
-        )
-    })?;
-    Ok(())
 }
 
 /// Encodes a checkpoint: magic, spectrum kernel, job identity, then every
@@ -1482,6 +1207,7 @@ mod tests {
     use clockmark_corpus::TraceHeader;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::fs;
 
     struct TempDir(PathBuf);
     impl TempDir {
@@ -1828,6 +1554,25 @@ mod tests {
             spec.validate().unwrap_err(),
             CampaignError::Cpa(CpaError::ConstantPattern)
         ));
+    }
+
+    #[test]
+    fn batch_spectra_auto_size_only_when_jobs_cannot_fill_the_threads() {
+        let dir = TempDir::new("spectrum_threads");
+        let spec = CampaignSpec::new(dir.0.join("corpus"), pattern(), vec!["a".into()]);
+        let campaign = Campaign::create(dir.0.join("campaign"), spec)
+            .expect("creates")
+            .with_threads(4);
+        assert_eq!(campaign.detect_options(4).threads, Some(1));
+        assert_eq!(campaign.detect_options(9).threads, Some(1));
+        // A one-trace matrix cell, `--max-jobs`, a straggler run: the
+        // spectrum gets the threads the jobs leave idle.
+        assert_eq!(campaign.detect_options(3).threads, None);
+        assert_eq!(campaign.detect_options(1).threads, None);
+        let algo = campaign.spec().algo;
+        let options = campaign.with_threads(0).detect_options(1);
+        assert_eq!(options.threads, Some(1), "zero threads runs one job");
+        assert_eq!(options.algo, Some(algo), "the recorded kernel is pinned");
     }
 
     #[test]

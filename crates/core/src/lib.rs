@@ -80,8 +80,8 @@ pub use attack::{
 };
 pub use batch::{parallel_map, BatchProgress, BatchReport, ExperimentBatch, WorkerStats};
 pub use campaign::{
-    Campaign, CampaignError, CampaignLimits, CampaignProgress, CampaignReport, CampaignSpec,
-    CampaignStatus, JobOutcome, JobSpec,
+    Campaign, CampaignDir, CampaignError, CampaignLimits, CampaignProgress, CampaignReport,
+    CampaignSpec, CampaignStatus, JobOutcome, JobSpec,
 };
 // `CampaignSpec::algo` is of this type; surface it next to the campaign API.
 pub use clockmark_cpa::CpaAlgo;

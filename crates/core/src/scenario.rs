@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! scenario/
-//!   scenarios.json            # the matrix, written once (tmp+rename)
+//!   scenarios.json            # the matrix, written once
 //!   cells/
 //!     c000_none_none/         # one standard campaign per cell
 //!       campaign.json         #   (spec carries the cell's ScenarioSpec)
@@ -47,8 +47,8 @@ use crate::attack::{
     hash_gaussian, mix_seed, AttackContext, AttackSpec, DefenseSpec, ScenarioSpec,
 };
 use crate::campaign::{
-    decode_pattern, decode_str, decode_traces, encode_source, write_atomic, Campaign,
-    CampaignError, CampaignLimits, CampaignSpec,
+    decode_pattern, decode_str, decode_traces, encode_source, Campaign, CampaignDir, CampaignError,
+    CampaignLimits, CampaignSpec, MATRIX_FILE, REPORT_FILE, SPEC_FILE,
 };
 use clockmark_cpa::{
     CpaAlgo, CpaError, DetectOptions, DetectionCriterion, DetectionResult, Detector,
@@ -56,7 +56,6 @@ use clockmark_cpa::{
 use clockmark_obs::json::{self, Json};
 use clockmark_seq::{Lfsr, SequenceGenerator};
 use std::fmt::Write as _;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The serializable cross-product: which attacks, which defenses, at
@@ -460,7 +459,7 @@ impl ScenarioReport {
 /// standard [`Campaign`] per cell under `cells/`.
 #[derive(Debug)]
 pub struct ScenarioCampaign {
-    dir: PathBuf,
+    store: CampaignDir,
     matrix: ScenarioMatrix,
     threads: usize,
 }
@@ -477,28 +476,10 @@ impl ScenarioCampaign {
     /// and [`CampaignError::Io`] on filesystem failure (including an
     /// existing scenario at `dir`).
     pub fn create(dir: impl Into<PathBuf>, matrix: ScenarioMatrix) -> Result<Self, CampaignError> {
-        let dir = dir.into();
+        let store = CampaignDir::new(dir);
         matrix.validate()?;
-        let spec_path = dir.join("scenarios.json");
-        if spec_path.exists() {
-            return Err(CampaignError::Io {
-                context: format!("creating scenario campaign at {}", dir.display()),
-                source: std::io::Error::new(
-                    std::io::ErrorKind::AlreadyExists,
-                    "scenarios.json already exists",
-                ),
-            });
-        }
-        fs::create_dir_all(dir.join("cells")).map_err(|e| CampaignError::Io {
-            context: format!("creating {}", dir.display()),
-            source: e,
-        })?;
-        write_atomic(&spec_path, format!("{}\n", matrix.encode()).as_bytes())?;
-        Ok(ScenarioCampaign {
-            dir,
-            matrix,
-            threads: clockmark_cpa::thread_count(),
-        })
+        store.create(MATRIX_FILE, "cells", &matrix.encode())?;
+        Ok(ScenarioCampaign::at(store, matrix))
     }
 
     /// Opens an existing scenario campaign by reading its matrix.
@@ -508,24 +489,24 @@ impl ScenarioCampaign {
     /// Returns [`CampaignError::Io`] when `scenarios.json` cannot be read
     /// and [`CampaignError::Spec`] when it is malformed.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CampaignError> {
-        let dir = dir.into();
-        let spec_path = dir.join("scenarios.json");
-        let text = fs::read_to_string(&spec_path).map_err(|e| CampaignError::Io {
-            context: format!("reading {}", spec_path.display()),
-            source: e,
-        })?;
-        let matrix = ScenarioMatrix::decode(text.trim())?;
+        let store = CampaignDir::new(dir);
+        let matrix = ScenarioMatrix::decode(&store.read(MATRIX_FILE)?)?;
         matrix.validate()?;
-        Ok(ScenarioCampaign {
-            dir,
+        Ok(ScenarioCampaign::at(store, matrix))
+    }
+
+    fn at(store: CampaignDir, matrix: ScenarioMatrix) -> Self {
+        let threads = clockmark_cpa::thread_count();
+        ScenarioCampaign {
+            store,
             matrix,
-            threads: clockmark_cpa::thread_count(),
-        })
+            threads,
+        }
     }
 
     /// The scenario directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.root()
     }
 
     /// The persisted matrix.
@@ -545,11 +526,7 @@ impl ScenarioCampaign {
     }
 
     fn cell_dir(&self, cell: &ScenarioCell) -> PathBuf {
-        self.dir.join("cells").join(&cell.id)
-    }
-
-    fn report_path(&self) -> PathBuf {
-        self.dir.join("report.json")
+        self.store.root().join("cells").join(&cell.id)
     }
 
     /// Runs pending cells (subject to `limits`, whose `max_jobs` bounds
@@ -594,11 +571,7 @@ impl ScenarioCampaign {
 
         let status = self.status()?;
         if status.is_complete() {
-            let report = self.report()?;
-            write_atomic(
-                &self.report_path(),
-                format!("{}\n", report.encode()).as_bytes(),
-            )?;
+            self.store.replace(REPORT_FILE, &self.report()?.encode())?;
         }
         Ok(status)
     }
@@ -621,7 +594,7 @@ impl ScenarioCampaign {
         };
         for cell in &cells {
             let dir = self.cell_dir(cell);
-            if !dir.join("campaign.json").exists() {
+            if !CampaignDir::new(&dir).holds(SPEC_FILE) {
                 continue;
             }
             let campaign = Campaign::open(dir)?;
@@ -845,19 +818,12 @@ impl DefensePlan {
     fn verify(
         &self,
         pattern: &[bool],
-        criterion: &DetectionCriterion,
-        algo: CpaAlgo,
+        options: DetectOptions,
         samples: &[f64],
     ) -> Result<DetectionResult, CpaError> {
         let period = pattern.len().max(1);
-        let facade = |p: &[bool]| {
-            Detector::with_options(
-                p,
-                DetectOptions::default()
-                    .with_algo(algo)
-                    .with_criterion(*criterion),
-            )
-        };
+        let criterion = options.criterion;
+        let facade = |p: &[bool]| Detector::with_options(p, options);
         match self {
             // The undefended verifier scans all rotations with the plain
             // criterion — peak ratio and z-score — like any campaign job.
@@ -963,14 +929,13 @@ impl DefensePlan {
 }
 
 /// Runs the full per-job scenario pipeline over a buffered trace and
-/// returns the defense's verdict. Pure in `(spec, pattern, criterion,
-/// algo, job_index, samples)` — the property every resume guarantee in
+/// returns the defense's verdict. Pure in `(spec, pattern, options,
+/// job_index, samples)` — the property every resume guarantee in
 /// this module rests on.
 pub(crate) fn run_scenario_detection(
     spec: &ScenarioSpec,
     pattern: &[bool],
-    criterion: &DetectionCriterion,
-    algo: CpaAlgo,
+    options: DetectOptions,
     job_index: usize,
     samples: &mut Vec<f64>,
 ) -> Result<DetectionResult, CpaError> {
@@ -1002,12 +967,13 @@ pub(crate) fn run_scenario_detection(
     }
 
     // 4. The verifier decides.
-    plan.verify(pattern, criterion, algo, samples)
+    plan.verify(pattern, options, samples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn pattern() -> Vec<bool> {
         let mut lfsr = Lfsr::maximal(6).expect("width 6");
@@ -1055,8 +1021,7 @@ mod tests {
         run_scenario_detection(
             spec,
             &pattern,
-            &DetectionCriterion::default(),
-            CpaAlgo::Folded,
+            DetectOptions::default().with_algo(CpaAlgo::Folded),
             0,
             &mut buffered,
         )

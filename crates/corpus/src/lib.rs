@@ -12,8 +12,9 @@
 //!   [`TraceWriter`]/[`TraceReader`] so a trace never has to be fully
 //!   resident;
 //! - the **corpus store** ([`Corpus`]): an on-disk directory of traces
-//!   indexed by `manifest.jsonl` (always replaced atomically via
-//!   temp-file + rename) supporting add / list / verify / scan;
+//!   indexed by `manifest.jsonl` supporting add / list / verify / scan,
+//!   written like every whole file in clockmark (each file a campaign
+//!   directory holds included) through one primitive, [`replace_file`];
 //! - **zero-copy ingestion** ([`mod@mmap`], [`TraceBytes`],
 //!   [`MappedTrace`]): read-only memory-mapped `.cmt` traces on unix
 //!   (buffered reads elsewhere), so campaign workers and detection
@@ -39,6 +40,7 @@ mod error;
 pub mod format;
 mod manifest;
 pub mod mmap;
+mod replace;
 mod store;
 mod view;
 
@@ -47,5 +49,6 @@ pub use error::CorpusError;
 pub use format::{decode_trace, encode_trace, TraceHeader, TraceReader, TraceWriter};
 pub use manifest::{read_manifest, write_manifest, ManifestEntry};
 pub use mmap::Mmap;
+pub use replace::replace_file;
 pub use store::{Corpus, TraceSource, VerifyOutcome, NO_MMAP_ENV};
 pub use view::{MappedTrace, TraceBytes};

@@ -12,6 +12,7 @@ use crate::{CorpusError, TraceHeader};
 use clockmark_obs::json::{self, Json};
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 use std::path::Path;
 
 /// One manifest line: everything needed to locate and verify a trace
@@ -167,8 +168,7 @@ pub fn read_manifest(path: &Path) -> Result<Vec<ManifestEntry>, CorpusError> {
     Ok(entries)
 }
 
-/// Atomically replaces the manifest: writes `<path>.tmp`, flushes, then
-/// renames over `path`.
+/// Replaces the manifest through [`replace_file`](crate::replace_file).
 ///
 /// # Errors
 ///
@@ -179,15 +179,10 @@ pub fn write_manifest(path: &Path, entries: &[ManifestEntry]) -> Result<(), Corp
         text.push_str(&entry.encode());
         text.push('\n');
     }
-    let tmp = path.with_extension("jsonl.tmp");
-    fs::write(&tmp, &text).map_err(|e| CorpusError::io(format!("writing {}", tmp.display()), e))?;
-    fs::rename(&tmp, path).map_err(|e| {
-        CorpusError::io(
-            format!("renaming {} over {}", tmp.display(), path.display()),
-            e,
-        )
-    })?;
-    Ok(())
+    crate::replace_file(path, |file| {
+        file.write_all(text.as_bytes())
+            .map_err(|e| CorpusError::io(format!("writing {}", path.display()), e))
+    })
 }
 
 #[cfg(test)]
@@ -269,7 +264,7 @@ mod tests {
         write_manifest(&path, &entries).expect("writes");
         assert_eq!(read_manifest(&path).expect("reads"), entries);
         // No temp residue after the rename.
-        assert!(!dir.join("manifest.jsonl.tmp").exists());
+        assert!(!dir.join(".manifest.jsonl.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

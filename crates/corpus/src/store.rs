@@ -3,14 +3,15 @@
 //!
 //! ```text
 //! corpus/
-//!   manifest.jsonl      # one line per trace (atomic tmp+rename updates)
+//!   manifest.jsonl      # one line per trace
 //!   traces/
-//!     <name>.cmt        # binary traces (written via tmp+rename)
+//!     <name>.cmt        # binary traces
 //! ```
 //!
-//! Trace files are written first (through a temp name), the manifest is
-//! updated last — so a crash at any point leaves either the old corpus or
-//! the new one, never a manifest entry pointing at a half-written file.
+//! Both are written through [`replace_file`](crate::replace_file).
+//! Trace files are written first, the manifest is updated last — so a
+//! crash at any point leaves either the old corpus or the new one, never
+//! a manifest entry pointing at a half-written file.
 
 use crate::format::{self, TraceHeader, TraceReader, TraceWriter};
 use crate::manifest::{read_manifest, write_manifest, ManifestEntry};
@@ -252,8 +253,9 @@ impl Corpus {
     /// Stores a trace under `name` and indexes it in the manifest.
     ///
     /// `header.cycles` is overwritten with `watts.len()`; the other
-    /// header fields carry the capture metadata. The file lands through a
-    /// temp name + rename, then the manifest is atomically rewritten.
+    /// header fields carry the capture metadata. The file lands through
+    /// [`replace_file`](crate::replace_file), then the manifest is
+    /// replaced the same way.
     ///
     /// # Errors
     ///
@@ -283,14 +285,11 @@ impl Corpus {
 
         let file = format!("{name}.cmt");
         let final_path = self.trace_path(&file);
-        let tmp_path = self.trace_path(&format!(".{name}.cmt.tmp"));
-        let out = File::create(&tmp_path)
-            .map_err(|e| CorpusError::io(format!("creating {}", tmp_path.display()), e))?;
-        let mut writer = TraceWriter::new(BufWriter::new(out), header)?;
-        writer.write_samples(watts)?;
-        writer.finish()?;
-        fs::rename(&tmp_path, &final_path)
-            .map_err(|e| CorpusError::io(format!("renaming {}", tmp_path.display()), e))?;
+        crate::replace_file(&final_path, |out| {
+            let mut writer = TraceWriter::new(BufWriter::new(out), header)?;
+            writer.write_samples(watts)?;
+            writer.finish().map(drop)
+        })?;
 
         // Recover the footer CRC for the manifest without re-reading the
         // samples: it sits in the last 8 bytes.

@@ -1,13 +1,14 @@
 //! The fleet coordinator: shard scheduling, work stealing, death
 //! detection, and the byte-identical merged report.
 //!
-//! The fleet directory **is** a campaign directory — `Campaign::open_or_create`
-//! persists the full single-node spec into `fleet.json`'s sibling
-//! `campaign.json`, the merged outcomes land in the same
-//! `results.jsonl`, and the final `report.json` is written with the
-//! exact bytes `Campaign::run` would have produced. `campaign status`
-//! pointed at a fleet directory therefore renders the same one-line
-//! progress a local run would show, fed by the aggregated
+//! The fleet directory **is** a campaign directory, written through the
+//! same `CampaignDir` store — `Campaign::open_or_create` persists the
+//! full single-node spec into `fleet.json`'s sibling `campaign.json`,
+//! the merged outcomes land in the same `results.jsonl` (opened through
+//! the same torn-tail repair), and the final `report.json` is written
+//! with the exact bytes `Campaign::run` would have produced. `campaign
+//! status` pointed at a fleet directory therefore renders the same
+//! one-line progress a local run would show, fed by the aggregated
 //! `progress.json` this module publishes from worker heartbeats.
 //!
 //! ## Scheduling
@@ -24,18 +25,18 @@
 //! from its on-disk checkpoints on whichever worker claims it next.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::FleetError;
 use crate::hash::Ring;
-use crate::plan::{shard_dir, shard_spec, FleetPlan};
-use clockmark::campaign::write_atomic;
-use clockmark::{Campaign, CampaignProgress, CampaignSpec, JobOutcome};
+use crate::plan::{shard_dir, shard_spec, FleetPlan, ShardPlan};
+use clockmark::campaign::{ResultsLog, FLEET_FILE, PROGRESS_EVERY, REPORT_FILE};
+use clockmark::{Campaign, CampaignDir, CampaignProgress, CampaignSpec, JobOutcome};
 use clockmark_corpus::Corpus;
+use clockmark_obs::json::{self, Json};
 use clockmark_serve::{Backoff, Client, WorkerHeartbeat};
 
 /// How a fleet campaign is split and supervised.
@@ -109,19 +110,6 @@ pub struct FleetSummary {
     pub workers_lost: usize,
     /// Where the merged report was written.
     pub report_path: PathBuf,
-}
-
-/// A live snapshot of fleet-wide progress, aggregated from heartbeats.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetProgress {
-    /// Jobs merged plus jobs landed inside in-flight shards.
-    pub done: u64,
-    /// Total jobs.
-    pub total: u64,
-    /// Workers currently alive.
-    pub workers_alive: usize,
-    /// Summed ingest throughput of in-flight shards, cycles/second.
-    pub cycles_per_sec: f64,
 }
 
 /// Shared scheduler state behind one mutex; the condvar wakes idle
@@ -264,18 +252,18 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     // persisted spec.
     let campaign = Campaign::open_or_create(&config.dir, spec)?;
     let spec = campaign.spec().clone();
+    let store = campaign.store();
     let shards = persisted_shard_count(&config.dir, config.effective_shards())?;
     let plan = FleetPlan::new(&spec, shards);
     let total_jobs = plan.total_jobs();
 
     // Outcomes already merged by an earlier (killed) coordinator run
-    // count as landed; shards they fully cover are done before any
-    // worker hears about them.
-    let landed: BTreeSet<usize> = campaign
-        .completed_outcomes()?
-        .iter()
-        .map(|o| o.index)
-        .collect();
+    // count as landed — opening the log repairs the torn tail a kill
+    // mid-append leaves — and shards they fully cover are done before
+    // any worker hears about them.
+    let (results, landed) = store.open_results(total_jobs)?;
+    let landed: BTreeSet<usize> = landed.into_keys().collect();
+    let base = landed.len() as u64;
     let mut done = BTreeSet::new();
     let mut pending = VecDeque::new();
     for shard in &plan.plans {
@@ -298,13 +286,6 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
             .map_err(|e| FleetError::io(format!("creating {}", dir.display()), e))?;
         corpus.subset_manifest(&shard.traces(), dir.join("manifest.jsonl"))?;
     }
-
-    let results = OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(campaign.dir().join("results.jsonl"))
-        .map_err(|e| FleetError::io("opening merged results.jsonl", e))?;
-    let results = Mutex::new(results);
 
     let ring = Ring::new(&config.workers, Ring::DEFAULT_VNODES);
     let workers = ring.workers().to_vec();
@@ -335,7 +316,7 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
         for worker in &workers {
             scope.spawn(|| heartbeat_loop(worker, config, &scheduler));
         }
-        supervise(config, &scheduler, total_jobs as u64);
+        supervise(config, store, &scheduler, total_jobs as u64, base);
         work.into_iter()
             .try_for_each(|handle| handle.join().expect("work loop does not panic"))
     })?;
@@ -355,10 +336,7 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     // All jobs merged: write the final report exactly as a single-node
     // run would (`Campaign::report` sorts by job index and the encoding
     // is canonical, so the bytes cannot depend on merge order).
-    let report = campaign.report()?;
-    let report_path = campaign.dir().join("report.json");
-    write_atomic(&report_path, format!("{}\n", report.encode()).as_bytes())?;
-    publish_progress(campaign.dir(), total_jobs as u64, total_jobs as u64, 0.0);
+    campaign.write_report()?;
 
     Ok(FleetSummary {
         total_jobs,
@@ -367,40 +345,30 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
         shards_stolen: stolen,
         shards_reassigned: reassigned,
         workers_lost,
-        report_path,
+        report_path: campaign.dir().join(REPORT_FILE),
     })
-}
-
-/// Reads the live fleet progress a coordinator (possibly in another
-/// process) last published into the fleet directory.
-pub fn read_progress(fleet_dir: &Path) -> Option<CampaignProgress> {
-    let text = fs::read_to_string(fleet_dir.join("progress.json")).ok()?;
-    CampaignProgress::decode(&text)
 }
 
 /// The shard count is part of the fleet's identity: shard directories
 /// name hash buckets, so resuming with a different count would orphan
 /// every checkpoint. First run persists it, later runs read it back.
 fn persisted_shard_count(dir: &Path, requested: u64) -> Result<u64, FleetError> {
-    let path = dir.join("fleet.json");
-    match fs::read_to_string(&path) {
-        Ok(text) => {
-            let persisted = text
-                .split("\"shards\":")
-                .nth(1)
-                .and_then(|rest| rest.trim_start().split(['}', ',']).next())
-                .and_then(|num| num.trim().parse::<u64>().ok())
-                .ok_or_else(|| {
-                    FleetError::config(format!("unreadable shard count in {}", path.display()))
-                })?;
-            Ok(persisted)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            write_atomic(&path, format!("{{\"shards\":{requested}}}\n").as_bytes())?;
-            Ok(requested)
-        }
-        Err(e) => Err(FleetError::io(format!("reading {}", path.display()), e)),
+    let store = CampaignDir::new(dir);
+    if !store.holds(FLEET_FILE) {
+        store.replace(FLEET_FILE, &format!("{{\"shards\":{requested}}}"))?;
+        return Ok(requested);
     }
+    json::parse(&store.read(FLEET_FILE)?)
+        .ok()
+        .and_then(|value| value.get("shards").and_then(Json::as_f64))
+        .filter(|shards| *shards >= 1.0 && shards.fract() == 0.0)
+        .map(|shards| shards as u64)
+        .ok_or_else(|| {
+            FleetError::config(format!(
+                "{} must hold a positive integer shard count",
+                dir.join(FLEET_FILE).display()
+            ))
+        })
 }
 
 /// One worker's work connection: claim a shard, run it remotely, merge
@@ -412,7 +380,7 @@ fn work_loop(
     spec: &CampaignSpec,
     plan: &FleetPlan,
     scheduler: &Scheduler,
-    results: &Mutex<File>,
+    results: &ResultsLog,
 ) -> Result<(), FleetError> {
     let mut client: Option<Client> = None;
     while let Some(shard_id) = scheduler.next_shard(worker) {
@@ -438,7 +406,7 @@ fn work_loop(
                     scheduler.wake.notify_all();
                     continue;
                 }
-                if let Err(e) = merge_outcomes(&outcomes, &mut state, results) {
+                if let Err(e) = merge_outcomes(&outcomes, shard, &mut state, results) {
                     // The shard stays not-done: a re-run resumes it.
                     state.failed = true;
                     scheduler.wake.notify_all();
@@ -479,34 +447,51 @@ fn work_loop(
     Ok(())
 }
 
-/// Appends not-yet-landed outcome lines to the merged `results.jsonl`.
+/// Appends the not-yet-landed outcome lines of `shard` to the merged
+/// `results.jsonl`.
 ///
+/// Only lines naming an `(index, trace)` pair of the shard's plan are
+/// merged; garbage and lines naming another shard's job (or no job of
+/// the campaign at all) are counted in `fleet.outcomes_rejected` and
+/// dropped, so no worker reply can make the fleet directory unloadable.
 /// Lines whose job index already landed (a resumed shard re-reporting
 /// history, or a shard finished twice across a heartbeat-timeout race)
 /// are dropped, so each job appears exactly once. A job counts as landed
 /// only once its line is appended and flushed.
 fn merge_outcomes(
     outcomes: &str,
+    shard: &ShardPlan,
     state: &mut State,
-    results: &Mutex<File>,
+    results: &ResultsLog,
 ) -> Result<(), FleetError> {
+    let owned = |outcome: &JobOutcome| {
+        shard
+            .jobs
+            .binary_search_by_key(&outcome.index, |(index, _)| *index)
+            .is_ok_and(|at| shard.jobs[at].1 == outcome.trace)
+    };
     let mut fresh = BTreeSet::new();
+    let mut rejected = 0;
     let mut text = String::new();
     for line in outcomes.lines() {
-        let Ok(outcome) = JobOutcome::decode(line) else {
-            continue;
-        };
-        if !state.landed.contains(&outcome.index) && fresh.insert(outcome.index) {
-            text.push_str(line);
-            text.push('\n');
+        match JobOutcome::decode(line) {
+            Ok(outcome) if owned(&outcome) => {
+                if !state.landed.contains(&outcome.index) && fresh.insert(outcome.index) {
+                    text.push_str(line);
+                    text.push('\n');
+                }
+            }
+            _ => rejected += 1,
         }
+    }
+    if rejected > 0 {
+        clockmark_obs::counter_add("fleet.outcomes_rejected", rejected);
     }
     if fresh.is_empty() {
         return Ok(());
     }
-    let mut file = results.lock().unwrap_or_else(|e| e.into_inner());
-    file.write_all(text.as_bytes())
-        .and_then(|()| file.flush())
+    results
+        .append(&text)
         .map_err(|e| FleetError::io("appending merged results.jsonl", e))?;
     clockmark_obs::counter_add("fleet.jobs_merged", fresh.len() as u64);
     state.landed.append(&mut fresh);
@@ -573,44 +558,46 @@ fn heartbeat_loop(worker: &str, config: &FleetConfig, scheduler: &Scheduler) {
     }
 }
 
-/// The coordinator's main loop: publish aggregated progress and gauges,
-/// detect the no-progress-possible endgame.
-fn supervise(config: &FleetConfig, scheduler: &Scheduler, total_jobs: u64) {
+/// The coordinator's main loop: publish aggregated progress and gauges
+/// (at start, every tick and once when the run ends), detect the
+/// no-progress-possible endgame. `base` jobs had landed before this run.
+fn supervise(
+    config: &FleetConfig,
+    store: &CampaignDir,
+    scheduler: &Scheduler,
+    total_jobs: u64,
+    base: u64,
+) {
     let started = Instant::now();
     let tick = config
         .heartbeat_interval
-        .min(Duration::from_millis(250))
+        .min(PROGRESS_EVERY)
         .max(Duration::from_millis(20));
     loop {
-        let progress = {
+        let ((progress, workers_alive), over) = {
             let mut state = scheduler.lock();
-            if state.finished(scheduler.shard_count) {
-                scheduler.wake.notify_all();
-                return;
-            }
             if state.workers_alive() == 0 {
                 state.failed = true;
-                scheduler.wake.notify_all();
-                return;
             }
-            aggregate(&state, total_jobs)
+            let over = state.finished(scheduler.shard_count);
+            (aggregate(&state, total_jobs, base, started.elapsed()), over)
         };
-        clockmark_obs::gauge_set("fleet.workers_alive", progress.workers_alive as f64);
+        clockmark_obs::gauge_set("fleet.workers_alive", workers_alive as f64);
         clockmark_obs::gauge_set("fleet.jobs_done", progress.done as f64);
-        publish_progress_timed(
-            &config.dir,
-            progress.done,
-            total_jobs,
-            progress.cycles_per_sec,
-            started.elapsed(),
-        );
+        store.publish_progress(&progress);
+        if over {
+            scheduler.wake.notify_all();
+            return;
+        }
         std::thread::sleep(tick);
     }
 }
 
-/// Fleet-wide progress: merged jobs plus whatever in-flight shards have
-/// landed locally but not yet reported.
-fn aggregate(state: &State, total: u64) -> FleetProgress {
+/// Fleet-wide progress `elapsed` into a run that started with `base`
+/// jobs merged — merged jobs plus whatever in-flight shards have landed
+/// locally but not yet reported, at the busy workers' summed ingest
+/// rate — and the workers alive.
+fn aggregate(state: &State, total: u64, base: u64, elapsed: Duration) -> (CampaignProgress, usize) {
     let in_flight: u64 = state
         .running
         .iter()
@@ -619,62 +606,24 @@ fn aggregate(state: &State, total: u64) -> FleetProgress {
             (hb.busy && hb.shard_id == *shard).then_some(hb.jobs_done)
         })
         .sum();
-    let cycles_per_sec: f64 = state
+    // From +0.0: an empty f64 `sum()` is -0.0, published as `-0`.
+    let cycles_per_sec = state
         .heartbeats
         .values()
         .filter(|hb| hb.busy)
-        .map(|hb| hb.cycles_per_sec)
-        .sum();
-    FleetProgress {
-        done: (state.landed.len() as u64 + in_flight).min(total),
-        total,
-        workers_alive: state.workers_alive(),
-        cycles_per_sec,
-    }
-}
-
-fn publish_progress(dir: &Path, done: u64, total: u64, cycles_per_sec: f64) {
-    publish_progress_timed(dir, done, total, cycles_per_sec, Duration::ZERO);
-}
-
-/// Writes the fleet's aggregated `progress.json` in the exact shape the
-/// campaign publishes, so `campaign status <fleet-dir>` renders it.
-fn publish_progress_timed(
-    dir: &Path,
-    done: u64,
-    total: u64,
-    cycles_per_sec: f64,
-    elapsed: Duration,
-) {
-    let elapsed_s = elapsed.as_secs_f64();
-    let jobs_per_sec = if elapsed_s > 0.0 {
-        done as f64 / elapsed_s
-    } else {
-        0.0
-    };
-    let eta_seconds = if jobs_per_sec > 0.0 {
-        (total.saturating_sub(done)) as f64 / jobs_per_sec
-    } else {
-        0.0
-    };
+        .fold(0.0, |sum, hb| sum + hb.cycles_per_sec);
+    let done = (state.landed.len() as u64 + in_flight).min(total);
     let progress = CampaignProgress {
-        done,
-        total,
-        cycles: 0,
         cycles_per_sec,
-        jobs_per_sec,
-        eta_seconds,
-        elapsed_ms: elapsed.as_millis() as u64,
+        ..CampaignProgress::measure(total, base, done, 0, elapsed)
     };
-    let _ = write_atomic(
-        &dir.join("progress.json"),
-        format!("{}\n", progress.encode()).as_bytes(),
-    );
+    (progress, state.workers_alive())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::File;
 
     fn state_with(pending: &[u64], workers: &[&str]) -> State {
         State {
@@ -726,9 +675,13 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let file = Mutex::new(File::create(&path).expect("creates"));
-        merge_outcomes(&text, &mut state, &file).expect("appends");
-        merge_outcomes(&text, &mut state, &file).expect("appends");
+        let file = ResultsLog::from(File::create(&path).expect("creates"));
+        let shard = ShardPlan {
+            shard_id: 0,
+            jobs: vec![(4, "t".to_owned())],
+        };
+        merge_outcomes(&text, &shard, &mut state, &file).expect("appends");
+        merge_outcomes(&text, &shard, &mut state, &file).expect("appends");
         assert_eq!(state.landed.iter().copied().collect::<Vec<_>>(), vec![4]);
         let written = fs::read_to_string(&path).expect("reads");
         assert_eq!(written, format!("{}\n", outcome.encode()));
@@ -757,10 +710,19 @@ mod tests {
         ));
         fs::write(&path, "").expect("creates");
         // A read-only handle: every append fails.
-        let file = Mutex::new(File::open(&path).expect("opens"));
+        let file = ResultsLog::from(File::open(&path).expect("opens"));
         let mut state = state_with(&[], &[]);
-        let err = merge_outcomes(&format!("{}\n", outcome.encode()), &mut state, &file)
-            .expect_err("a read-only handle cannot append");
+        let shard = ShardPlan {
+            shard_id: 0,
+            jobs: vec![(2, "t".to_owned())],
+        };
+        let err = merge_outcomes(
+            &format!("{}\n", outcome.encode()),
+            &shard,
+            &mut state,
+            &file,
+        )
+        .expect_err("a read-only handle cannot append");
         assert!(matches!(err, FleetError::Io { .. }), "{err}");
         assert!(state.landed.is_empty(), "nothing reached results.jsonl");
         fs::remove_file(&path).ok();
@@ -814,9 +776,9 @@ mod tests {
                 ..WorkerHeartbeat::default()
             },
         );
-        let progress = aggregate(&state, 10);
+        let (progress, workers_alive) = aggregate(&state, 10, 0, Duration::ZERO);
         assert_eq!(progress.done, 5);
-        assert_eq!(progress.workers_alive, 2);
+        assert_eq!(workers_alive, 2);
         assert!((progress.cycles_per_sec - 150.0).abs() < 1e-9);
     }
 
@@ -842,12 +804,85 @@ mod tests {
             std::thread::current().id()
         ));
         fs::create_dir_all(&dir).expect("mkdir");
-        publish_progress_timed(&dir, 3, 10, 1234.5, Duration::from_millis(2500));
-        let progress = read_progress(&dir).expect("decodes");
+        let store = CampaignDir::new(&dir);
+        store.publish_progress(&CampaignProgress {
+            cycles_per_sec: 1234.5,
+            ..CampaignProgress::measure(10, 0, 3, 0, Duration::from_millis(2500))
+        });
+        let progress = store.read_progress().expect("decodes");
         assert_eq!(progress.done, 3);
         assert_eq!(progress.total, 10);
         assert!((progress.jobs_per_sec - 1.2).abs() < 1e-9);
         assert!(progress.eta_seconds > 0.0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn foreign_outcomes_are_not_merged() {
+        let outcome = |index: usize, trace: &str| JobOutcome {
+            index,
+            trace: trace.to_owned(),
+            cycles: 10,
+            result: clockmark_cpa::DetectionResult {
+                detected: true,
+                peak_rotation: 1,
+                peak_rho: 0.5,
+                floor_max_abs: 0.1,
+                ratio: 5.0,
+                zscore: 9.0,
+            },
+        };
+        let path = std::env::temp_dir().join(format!(
+            "cm_fleet_merge_foreign_{}_{:?}.jsonl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let file = ResultsLog::from(File::create(&path).expect("creates"));
+        let shard = ShardPlan {
+            shard_id: 1,
+            jobs: vec![(1, "a".to_owned()), (3, "b".to_owned())],
+        };
+        // Job 3 is ours; job 2 is another shard's, job 99 is no job at
+        // all, and job 1 under the wrong trace name is not job 1.
+        let text = [
+            outcome(2, "c"),
+            outcome(99, "z"),
+            outcome(1, "b"),
+            outcome(3, "b"),
+        ]
+        .iter()
+        .map(|o| format!("{}\n", o.encode()))
+        .collect::<String>();
+        let mut state = state_with(&[], &[]);
+        merge_outcomes(&text, &shard, &mut state, &file).expect("appends");
+        assert_eq!(state.landed.iter().copied().collect::<Vec<_>>(), vec![3]);
+        let written = fs::read_to_string(&path).expect("reads");
+        assert_eq!(written, format!("{}\n", outcome(3, "b").encode()));
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_zero_shard_fleet_json_is_a_config_error() {
+        let dir = std::env::temp_dir().join(format!(
+            "cm_fleet_zero_shards_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        fs::create_dir_all(&dir).expect("mkdir");
+        for persisted in [
+            "{\"shards\":0}",
+            "{\"shards\":2.5}",
+            "{\"shards\":\"4\"}",
+            "{}",
+        ] {
+            fs::write(dir.join("fleet.json"), persisted).expect("writes");
+            let err = persisted_shard_count(&dir, 4).expect_err(persisted);
+            assert!(
+                matches!(err, FleetError::Config { .. }),
+                "{persisted}: {err}"
+            );
+            assert!(err.to_string().contains("fleet.json"), "{err}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 }

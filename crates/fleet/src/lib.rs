@@ -41,7 +41,7 @@ pub mod worker;
 
 mod error;
 
-pub use coordinator::{run_fleet, FleetConfig, FleetProgress, FleetSummary};
+pub use coordinator::{run_fleet, FleetConfig, FleetSummary};
 pub use error::FleetError;
 pub use hash::{fnv1a64, shard_of_trace, Ring};
 pub use plan::{FleetPlan, ShardPlan};

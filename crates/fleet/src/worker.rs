@@ -9,18 +9,17 @@
 //! hop between workers mid-flight — the next node just `open`s the same
 //! directory and resumes.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use clockmark::{Campaign, CampaignError, CampaignLimits, CampaignProgress, CampaignSpec};
+use clockmark::{Campaign, CampaignDir, CampaignError, CampaignLimits, CampaignSpec};
 use clockmark_serve::{ErrorCode, FleetService, ShardOutcome, ShardSpec, WorkerHeartbeat};
 
 /// What the worker is currently running, published to the heartbeat.
 #[derive(Debug, Clone)]
 struct InFlight {
     shard_id: u64,
-    dir: PathBuf,
+    store: CampaignDir,
     jobs_total: u64,
 }
 
@@ -65,11 +64,10 @@ impl ShardWorker {
         shard: &ShardSpec,
         spec: CampaignSpec,
     ) -> Result<ShardOutcome, CampaignError> {
-        let dir = PathBuf::from(&shard.dir);
         // Create the shard campaign on first contact, open (resume) it on
         // every later one — including the reassignment of a shard some
         // other worker died inside.
-        let campaign = Campaign::open_or_create(&dir, spec)?;
+        let campaign = Campaign::open_or_create(&shard.dir, spec)?;
         let threads = if shard.threads > 0 {
             shard.threads as usize
         } else {
@@ -83,7 +81,7 @@ impl ShardWorker {
 
         *self.in_flight.lock().unwrap_or_else(|e| e.into_inner()) = Some(InFlight {
             shard_id: shard.shard_id,
-            dir: dir.clone(),
+            store: campaign.store().clone(),
             jobs_total: shard.indices.len() as u64,
         });
 
@@ -175,23 +173,16 @@ impl FleetService for ShardWorker {
                 ..WorkerHeartbeat::default()
             },
             Some(run) => {
-                // The shard campaign's own workers publish progress.json
-                // after every landed job; a torn or missing file just
-                // means "no progress to report yet".
-                let progress = std::fs::read_to_string(run.dir.join("progress.json"))
-                    .ok()
-                    .and_then(|text| CampaignProgress::decode(&text));
-                let (jobs_done, cycles, cycles_per_sec) = match progress {
-                    Some(p) => (p.done, p.cycles, p.cycles_per_sec),
-                    None => (0, 0, 0.0),
-                };
+                // The shard campaign publishes progress.json while it
+                // runs; a missing file just means "no progress yet".
+                let progress = run.store.read_progress().unwrap_or_default();
                 WorkerHeartbeat {
                     busy: true,
                     shard_id: run.shard_id,
-                    jobs_done,
+                    jobs_done: progress.done,
                     jobs_total: run.jobs_total,
-                    cycles,
-                    cycles_per_sec,
+                    cycles: progress.cycles,
+                    cycles_per_sec: progress.cycles_per_sec,
                     shards_done,
                 }
             }

@@ -7,14 +7,16 @@
 //! 3. interrupted shard assignments (the straggler/test hook) are
 //!    requeued and drained to the same bytes;
 //! 4. a sequential spec's shards run its schedule, so the merged report
-//!    still matches the single node byte for byte.
+//!    still matches the single node byte for byte;
+//! 5. a coordinator killed mid-append (a torn merged `results.jsonl`
+//!    tail) resumes to the same bytes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use clockmark::{Campaign, CampaignLimits, CampaignSpec};
+use clockmark::{Campaign, CampaignDir, CampaignLimits, CampaignSpec};
 use clockmark_corpus::{Corpus, TraceHeader};
 use clockmark_fleet::{run_fleet, FleetConfig, ShardWorker};
 use clockmark_serve::{ServeLimits, Server, ServerHandle};
@@ -132,7 +134,8 @@ fn fleet_report_is_byte_identical_to_single_node() {
 
     // The aggregated progress file is campaign-status compatible and
     // settled at done == total.
-    let progress = clockmark_fleet::coordinator::read_progress(&dir.0.join("fleet"))
+    let progress = CampaignDir::new(dir.0.join("fleet"))
+        .read_progress()
         .expect("fleet progress.json decodes");
     assert_eq!(progress.done, 6);
     assert_eq!(progress.total, 6);
@@ -233,4 +236,47 @@ fn sequential_fleet_report_is_byte_identical_to_single_node() {
     for worker in workers {
         worker.shutdown();
     }
+}
+
+#[test]
+fn a_torn_merged_results_tail_resumes_byte_identically() {
+    let dir = TempDir::new("torn");
+    let pattern = pattern();
+    let spec = build_fixture(&dir.0, &pattern, 5, 3_000);
+    let reference = reference_report(&dir.0, spec.clone());
+
+    let worker = spawn_worker();
+    let mut config = FleetConfig::new(dir.0.join("fleet"), vec![worker.local_addr().to_string()]);
+    config.shards = 4;
+    config.worker_threads = 1;
+    config.heartbeat_interval = Duration::from_millis(100);
+    run_fleet(&config, spec.clone()).expect("fleet completes");
+
+    // What a coordinator killed mid-append leaves: the last merged line
+    // cut short, no report.
+    let results = config.dir.join("results.jsonl");
+    let text = fs::read_to_string(&results).expect("reads merged results");
+    fs::write(&results, &text[..text.len() - 20]).expect("tears the tail");
+    fs::remove_file(config.dir.join("report.json")).expect("removes the report");
+
+    let summary = run_fleet(&config, spec).expect("resumed fleet completes");
+    assert_eq!(summary.merged_jobs, 6);
+    let merged = fs::read(&summary.report_path).expect("reads merged");
+    assert_eq!(
+        merged, reference,
+        "a torn merged tail must resume to the single-node bytes"
+    );
+
+    // The resumed run re-merged one job; the five an earlier run merged
+    // must not inflate its throughput.
+    let progress = CampaignDir::new(&config.dir)
+        .read_progress()
+        .expect("fleet progress.json decodes");
+    assert_eq!((progress.done, progress.total), (6, 6));
+    let run_jobs = progress.jobs_per_sec * progress.elapsed_ms as f64 / 1e3;
+    assert!(
+        run_jobs <= 1.0 + 1e-9,
+        "jobs/s counts only this run's landings: {progress:?}"
+    );
+    worker.shutdown();
 }

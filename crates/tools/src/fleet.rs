@@ -9,6 +9,7 @@
 
 use crate::commands::PatternSpec;
 use crate::{tracefile, ToolError};
+use clockmark::campaign::REPORT_FILE;
 use clockmark::corpus::format::source;
 use clockmark::corpus::{decode_trace, encode_trace, Corpus, CorpusError, TraceHeader};
 use clockmark::{
@@ -286,7 +287,7 @@ pub fn cmd_corpus_convert(
     }
 }
 
-pub(crate) fn outcome_line(outcome: &JobOutcome) -> String {
+fn outcome_line(outcome: &JobOutcome) -> String {
     let r = &outcome.result;
     format!(
         "job {:>4}  {:<24} {}  rot {:>5}  rho {:+.6}  ratio {:>6.2}  z {:>6.2}",
@@ -307,22 +308,28 @@ fn render_run(
     let mut out = String::new();
     let _ = writeln!(out, "campaign {}: {status}", campaign.dir().display());
     if status.is_complete() {
-        let report = campaign.report()?;
-        for outcome in &report.outcomes {
-            out.push_str(&outcome_line(outcome));
-            out.push('\n');
-        }
-        let _ = writeln!(
-            out,
-            "report: {} ({} of {} detected)",
-            campaign.dir().join("report.json").display(),
-            report.detected(),
-            report.outcomes.len()
-        );
+        render_report(&mut out, campaign)?;
     } else {
         let _ = writeln!(out, "resume with: clockmark-cli campaign resume <dir>");
     }
     Ok(out)
+}
+
+/// Appends a completed campaign's outcome lines and its report line:
+/// how `campaign run` and `fleet run` end.
+pub(crate) fn render_report(out: &mut String, campaign: &Campaign) -> Result<(), ToolError> {
+    let report = campaign.report()?;
+    for outcome in &report.outcomes {
+        let _ = writeln!(out, "{}", outcome_line(outcome));
+    }
+    let _ = writeln!(
+        out,
+        "report: {} ({} of {} detected)",
+        campaign.dir().join(REPORT_FILE).display(),
+        report.detected(),
+        report.outcomes.len()
+    );
+    Ok(())
 }
 
 /// Options for `campaign run` shared with `resume`.
@@ -339,7 +346,7 @@ pub struct CampaignRunOptions {
 }
 
 impl CampaignRunOptions {
-    fn limits(self) -> CampaignLimits {
+    pub(crate) fn limits(self) -> CampaignLimits {
         CampaignLimits {
             max_jobs: self.max_jobs,
             ..CampaignLimits::none()
@@ -466,10 +473,17 @@ pub fn cmd_campaign_status(dir: &Path) -> Result<String, ToolError> {
     if crate::scenario_cmd::is_scenario_dir(dir) {
         return crate::scenario_cmd::cmd_scenario_status(dir);
     }
+    render_status("campaign", dir)
+}
+
+/// Renders a campaign directory's status under `label`: the one renderer
+/// behind `campaign status` and `fleet status` (a fleet directory is a
+/// campaign directory).
+pub(crate) fn render_status(label: &str, dir: &Path) -> Result<String, ToolError> {
     let campaign = Campaign::open(dir)?;
     let status = campaign.status()?;
     let mut out = String::new();
-    let _ = writeln!(out, "campaign {}: {status}", campaign.dir().display());
+    let _ = writeln!(out, "{label} {}: {status}", campaign.dir().display());
     let _ = writeln!(
         out,
         "corpus: {}, pattern period {}, {} trace(s), {} spectrum kernel",
@@ -478,7 +492,7 @@ pub fn cmd_campaign_status(dir: &Path) -> Result<String, ToolError> {
         campaign.spec().traces.len(),
         campaign.spec().algo
     );
-    if let Some(progress) = campaign.live_progress() {
+    if let Some(progress) = campaign.store().read_progress() {
         if !status.is_complete() {
             let _ = writeln!(
                 out,

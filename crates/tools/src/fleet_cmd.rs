@@ -16,11 +16,11 @@
 //!   coordinator publishes.
 
 use crate::commands::PatternSpec;
-use crate::fleet::{outcome_line, CampaignCreateOptions};
+use crate::fleet::{render_report, CampaignCreateOptions};
 use crate::serve_cmd::ServeOptions;
 use crate::ToolError;
 use clockmark::Campaign;
-use clockmark_fleet::{coordinator, run_fleet, FleetConfig, ShardWorker};
+use clockmark_fleet::{run_fleet, FleetConfig, ShardWorker};
 use clockmark_serve::Server;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -144,19 +144,7 @@ pub fn cmd_fleet_run(
         "stolen {}, reassigned {}, workers lost {}",
         summary.shards_stolen, summary.shards_reassigned, summary.workers_lost,
     );
-    let campaign = Campaign::open(dir)?;
-    let report = campaign.report()?;
-    for outcome in &report.outcomes {
-        out.push_str(&outcome_line(outcome));
-        out.push('\n');
-    }
-    let _ = writeln!(
-        out,
-        "report: {} ({} of {} detected)",
-        summary.report_path.display(),
-        report.detected(),
-        report.outcomes.len()
-    );
+    render_report(&mut out, &Campaign::open(dir)?)?;
     Ok(out)
 }
 
@@ -168,42 +156,7 @@ pub fn cmd_fleet_run(
 ///
 /// Returns store failures (missing or malformed fleet directory).
 pub fn cmd_fleet_status(dir: &Path) -> Result<String, ToolError> {
-    let campaign = Campaign::open(dir)?;
-    let status = campaign.status()?;
-    let mut out = String::new();
-    let _ = writeln!(out, "fleet {}: {status}", campaign.dir().display());
-    let _ = writeln!(
-        out,
-        "corpus: {}, pattern period {}, {} trace(s), {} spectrum kernel",
-        campaign.spec().corpus.display(),
-        campaign.spec().pattern.len(),
-        campaign.spec().traces.len(),
-        campaign.spec().algo
-    );
-    if let Some(progress) = coordinator::read_progress(dir) {
-        if !status.is_complete() {
-            let _ = writeln!(
-                out,
-                "live: {}/{} jobs, {:.0} cycles/s, {:.1} jobs/s, ETA {:.0}s (published {:.1}s into run)",
-                progress.done,
-                progress.total,
-                progress.cycles_per_sec,
-                progress.jobs_per_sec,
-                progress.eta_seconds,
-                progress.elapsed_ms as f64 / 1e3,
-            );
-        }
-    }
-    if status.is_complete() {
-        let report = campaign.report()?;
-        let _ = writeln!(
-            out,
-            "{} of {} detected",
-            report.detected(),
-            report.outcomes.len()
-        );
-    }
-    Ok(out)
+    crate::fleet::render_status("fleet", dir)
 }
 
 #[cfg(test)]

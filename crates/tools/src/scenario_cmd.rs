@@ -13,33 +13,26 @@
 use crate::commands::PatternSpec;
 use crate::fleet::CampaignRunOptions;
 use crate::ToolError;
+use clockmark::campaign::{MATRIX_FILE, REPORT_FILE};
 use clockmark::corpus::Corpus;
-use clockmark::{CampaignLimits, ScenarioCampaign, ScenarioMatrix, ScenarioReport};
+use clockmark::{CampaignDir, ScenarioCampaign, ScenarioMatrix, ScenarioReport};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
 /// Whether `dir` holds a scenario campaign rather than a plain one.
 pub fn is_scenario_dir(dir: &Path) -> bool {
-    dir.join("scenarios.json").exists()
+    CampaignDir::new(dir).holds(MATRIX_FILE)
 }
 
-fn open(dir: &Path, options: CampaignRunOptions) -> Result<ScenarioCampaign, ToolError> {
+fn apply(options: CampaignRunOptions, campaign: ScenarioCampaign) -> ScenarioCampaign {
     if options.no_mmap {
         std::env::set_var(clockmark::corpus::NO_MMAP_ENV, "1");
     }
-    let campaign = ScenarioCampaign::open(dir)?;
-    Ok(if options.threads > 0 {
+    if options.threads > 0 {
         campaign.with_threads(options.threads)
     } else {
         campaign
-    })
-}
-
-fn limits(options: CampaignRunOptions) -> CampaignLimits {
-    CampaignLimits {
-        max_jobs: options.max_jobs,
-        ..CampaignLimits::none()
     }
 }
 
@@ -49,7 +42,7 @@ fn render_run(campaign: &ScenarioCampaign, dir: &Path) -> Result<String, ToolErr
     let _ = writeln!(out, "scenario {}: {status}", dir.display());
     if status.is_complete() {
         out.push_str(&render_report(&campaign.report()?));
-        let _ = writeln!(out, "report: {}", dir.join("report.json").display());
+        let _ = writeln!(out, "report: {}", dir.join(REPORT_FILE).display());
     } else {
         let _ = writeln!(out, "resume with: clockmark-cli campaign resume <dir>");
     }
@@ -74,14 +67,8 @@ pub fn cmd_scenario_run(
         source,
     })?;
     let matrix = ScenarioMatrix::decode(text.trim())?;
-    if options.no_mmap {
-        std::env::set_var(clockmark::corpus::NO_MMAP_ENV, "1");
-    }
-    let mut campaign = ScenarioCampaign::create(dir, matrix)?;
-    if options.threads > 0 {
-        campaign = campaign.with_threads(options.threads);
-    }
-    campaign.run(&limits(options))?;
+    let campaign = apply(options, ScenarioCampaign::create(dir, matrix)?);
+    campaign.run(&options.limits())?;
     render_run(&campaign, dir)
 }
 
@@ -91,8 +78,8 @@ pub fn cmd_scenario_run(
 ///
 /// Returns matrix and cell campaign failures.
 pub fn cmd_scenario_resume(dir: &Path, options: CampaignRunOptions) -> Result<String, ToolError> {
-    let campaign = open(dir, options)?;
-    campaign.run(&limits(options))?;
+    let campaign = apply(options, ScenarioCampaign::open(dir)?);
+    campaign.run(&options.limits())?;
     render_run(&campaign, dir)
 }
 
