@@ -169,9 +169,9 @@ pub struct CampaignSpec {
     pub chunk_cycles: usize,
     /// The spectrum kernel every job runs (see [`CpaAlgo`]). Resolved
     /// once, at creation time, and persisted in `campaign.json` — a
-    /// resumed campaign replays the recorded kernel regardless of the
-    /// resuming process's `CLOCKMARK_CPA_ALGO`, because the byte-identical
-    /// report guarantee only holds within one kernel's arithmetic.
+    /// resumed campaign replays the recorded kernel, including one pinned
+    /// at creation, because the byte-identical report guarantee only
+    /// holds within one kernel's arithmetic.
     pub algo: CpaAlgo,
     /// Sequential early-termination schedule, or `None` for classic
     /// fixed-budget jobs. Persisted in `campaign.json` like the kernel:
@@ -195,11 +195,9 @@ pub struct CampaignSpec {
 impl CampaignSpec {
     /// A spec with the default criterion, 64 Ki-cycle checkpoints and
     /// 8 Ki-cycle read chunks. The spectrum kernel is resolved here,
-    /// once: `CLOCKMARK_CPA_ALGO` when set, the pattern's work heuristic
-    /// otherwise.
+    /// once, from the pattern's work heuristic.
     pub fn new(corpus: impl Into<PathBuf>, pattern: Vec<bool>, traces: Vec<String>) -> Self {
-        let algo = clockmark_cpa::algo_override()
-            .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&pattern));
+        let algo = CpaAlgo::resolved_for_pattern(&pattern);
         CampaignSpec {
             corpus: corpus.into(),
             pattern,
@@ -279,8 +277,7 @@ impl CampaignSpec {
         let num_field = |key: &str| decode_num(&value, key);
         let pattern = decode_pattern(&value)?;
         // Specs written before the kernel was recorded lack the field;
-        // resolve those from the pattern heuristic, never from the
-        // resuming environment (the environment at *creation* decided).
+        // resolve those from the pattern heuristic.
         let algo = value
             .get("algo")
             .and_then(Json::as_str)
@@ -869,15 +866,15 @@ impl Campaign {
             .field("index", job.index)
             .field("trace", job.trace.clone())
             .field("mode", mode);
-        // Zero-copy where the platform provides it; the buffered reader
+        // Zero-copy where the platform provides it; an owned buffer
         // otherwise. Both stream bit-identical samples, so a campaign
-        // resumed on a different platform (or with CLOCKMARK_NO_MMAP
-        // set) still reproduces its report byte-for-byte.
+        // resumed on a different platform still reproduces its report
+        // byte-for-byte.
         let mut reader = corpus.source(&job.trace)?;
         let trace_cycles = reader.header().cycles;
-        // The kernel recorded in the spec is pinned on the facade, so
-        // neither the environment nor the work heuristic can change the
-        // arithmetic between a run and its resume.
+        // The kernel recorded in the spec is pinned on the facade, so the
+        // work heuristic cannot change the arithmetic between a run and
+        // its resume.
         let facade = Detector::with_options(&self.spec.pattern, options)?;
         let mut session = match self.restore_checkpoint(&facade, job, trace_cycles) {
             Some(session) => session,

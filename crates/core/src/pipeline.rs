@@ -343,8 +343,7 @@ impl MeasuredRun {
     /// sequence, turning the raw measurement into a detection verdict.
     ///
     /// The spectrum kernel is whatever the [`Detector`] facade resolves
-    /// — the `CLOCKMARK_CPA_ALGO` override when set, else the work
-    /// heuristic (FFT at paper scale, folded below). Every kernel
+    /// from the work heuristic (FFT at paper scale, folded below). Every kernel
     /// reports a bit-identical peak, so the verdict does not depend on
     /// the choice (see `docs/cpa-fft.md`).
     ///

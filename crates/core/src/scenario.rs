@@ -94,8 +94,7 @@ pub struct ScenarioMatrix {
 impl ScenarioMatrix {
     /// A matrix over the default attack and defense axes at nominal SNR.
     pub fn new(corpus: impl Into<PathBuf>, pattern: Vec<bool>, traces: Vec<String>) -> Self {
-        let algo = clockmark_cpa::algo_override()
-            .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&pattern));
+        let algo = CpaAlgo::resolved_for_pattern(&pattern);
         let defaults = ScenarioSpec::default();
         ScenarioMatrix {
             corpus: corpus.into(),

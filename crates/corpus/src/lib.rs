@@ -50,5 +50,5 @@ pub use format::{decode_trace, encode_trace, TraceHeader, TraceReader, TraceWrit
 pub use manifest::{read_manifest, write_manifest, ManifestEntry};
 pub use mmap::Mmap;
 pub use replace::replace_file;
-pub use store::{Corpus, TraceSource, VerifyOutcome, NO_MMAP_ENV};
+pub use store::{Corpus, VerifyOutcome};
 pub use view::{MappedTrace, TraceBytes};

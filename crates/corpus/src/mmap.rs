@@ -209,13 +209,9 @@ impl Mmap {
         Self::open_buffered(path)
     }
 
-    /// Opens `path` with the buffered path unconditionally — used when
-    /// the caller opts out of mapping (`CLOCKMARK_NO_MMAP`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CorpusError::Io`] when the file cannot be read.
-    pub fn open_buffered(path: impl AsRef<Path>) -> Result<Self, CorpusError> {
+    /// Reads `path` into an owned buffer — the path [`Mmap::open`] takes
+    /// off-unix or when the kernel refuses a mapping.
+    fn open_buffered(path: impl AsRef<Path>) -> Result<Self, CorpusError> {
         let path = path.as_ref();
         let bytes = std::fs::read(path)
             .map_err(|e| CorpusError::io(format!("reading {}", path.display()), e))?;

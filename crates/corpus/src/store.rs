@@ -15,7 +15,6 @@
 
 use crate::format::{self, TraceHeader, TraceReader, TraceWriter};
 use crate::manifest::{read_manifest, write_manifest, ManifestEntry};
-use crate::mmap::Mmap;
 use crate::view::MappedTrace;
 use crate::CorpusError;
 use clockmark_power::PowerTrace;
@@ -32,109 +31,6 @@ pub struct VerifyOutcome {
     pub ok: bool,
     /// Human-readable detail (the failure reason, or `"ok"`).
     pub detail: String,
-}
-
-/// Environment variable that forces [`Corpus::source`] onto the
-/// buffered reader path (any value other than `0` or empty).
-pub const NO_MMAP_ENV: &str = "CLOCKMARK_NO_MMAP";
-
-/// A streaming reader over one stored trace: memory-mapped when the
-/// platform allows it, buffered otherwise.
-///
-/// Returned by [`Corpus::source`]. Both variants run the identical
-/// validation pipeline (header decode, per-sample finiteness, streaming
-/// CRC, footer check) and produce bit-identical samples; the only
-/// difference is whether the sample bytes are copied through a read
-/// buffer on the way in.
-#[derive(Debug)]
-pub enum TraceSource {
-    /// Zero-copy page-cache mapping (see [`MappedTrace`]).
-    Mapped(Box<MappedTrace>),
-    /// Buffered chunked reads (see [`TraceReader`]).
-    Buffered(TraceReader<BufReader<File>>),
-}
-
-impl TraceSource {
-    /// The trace metadata.
-    pub fn header(&self) -> &TraceHeader {
-        match self {
-            TraceSource::Mapped(t) => t.header(),
-            TraceSource::Buffered(r) => r.header(),
-        }
-    }
-
-    /// Samples not yet read.
-    pub fn remaining(&self) -> u64 {
-        match self {
-            TraceSource::Mapped(t) => t.remaining(),
-            TraceSource::Buffered(r) => r.remaining(),
-        }
-    }
-
-    /// Samples already read.
-    pub fn consumed(&self) -> u64 {
-        match self {
-            TraceSource::Mapped(t) => t.consumed(),
-            TraceSource::Buffered(r) => r.consumed(),
-        }
-    }
-
-    /// Whether the samples stream straight out of the page cache.
-    pub fn is_zero_copy(&self) -> bool {
-        matches!(self, TraceSource::Mapped(t) if t.is_zero_copy())
-    }
-
-    /// Fills `buf` with up to `buf.len()` samples; returns how many were
-    /// read (0 once the trace is exhausted).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceReader::read_chunk`].
-    pub fn read_chunk(&mut self, buf: &mut [f64]) -> Result<usize, CorpusError> {
-        match self {
-            TraceSource::Mapped(t) => t.read_chunk(buf),
-            TraceSource::Buffered(r) => r.read_chunk(buf),
-        }
-    }
-
-    /// Skips `n` samples (they still feed the CRC and finite checks).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceReader::skip_samples`].
-    pub fn skip_samples(&mut self, n: u64) -> Result<(), CorpusError> {
-        match self {
-            TraceSource::Mapped(t) => t.skip_samples(n),
-            TraceSource::Buffered(r) => r.skip_samples(n),
-        }
-    }
-
-    /// Consumes the remaining samples and validates the CRC footer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceReader::finish`].
-    pub fn finish(self) -> Result<TraceHeader, CorpusError> {
-        match self {
-            TraceSource::Mapped(t) => t.finish(),
-            TraceSource::Buffered(r) => r.finish(),
-        }
-    }
-}
-
-/// Either variant plugs into
-/// [`Detector::detect_trace`](clockmark_cpa::Detector::detect_trace)
-/// with the CRC footer validated before any verdict.
-impl clockmark_cpa::TraceInput for TraceSource {
-    type Error = CorpusError;
-
-    fn next_chunk(&mut self, buf: &mut [f64]) -> Result<usize, CorpusError> {
-        self.read_chunk(buf)
-    }
-
-    fn finish(self) -> Result<(), CorpusError> {
-        TraceSource::finish(self).map(|_| ())
-    }
 }
 
 /// A durable trace corpus rooted at a directory.
@@ -333,12 +229,9 @@ impl Corpus {
 
     /// Opens the fastest available streaming reader over one stored
     /// trace: a zero-copy memory mapping where the platform provides one
-    /// (unix), the buffered [`Corpus::reader`] otherwise.
-    ///
-    /// Setting the [`NO_MMAP_ENV`] environment variable (to anything but
-    /// `0` or the empty string) forces the buffered path — an escape
-    /// hatch for filesystems where mapping misbehaves. Both paths
-    /// produce bit-identical samples and verdicts.
+    /// (unix), an owned buffer of the file otherwise (see
+    /// [`Mmap::open`](crate::Mmap::open)). Both produce samples and
+    /// verdicts bit-identical to the chunked [`Corpus::reader`].
     ///
     /// # Errors
     ///
@@ -346,20 +239,11 @@ impl Corpus {
     /// [`CorpusError::Io`] on open failure, and [`CorpusError::Format`]
     /// for a malformed header or one declaring more samples than the
     /// file holds.
-    pub fn source(&self, name: &str) -> Result<TraceSource, CorpusError> {
+    pub fn source(&self, name: &str) -> Result<MappedTrace, CorpusError> {
         let entry = self.entry(name).ok_or_else(|| CorpusError::UnknownTrace {
             name: name.to_owned(),
         })?;
-        if std::env::var(NO_MMAP_ENV).is_ok_and(|v| !v.is_empty() && v != "0") {
-            return Ok(TraceSource::Buffered(self.reader(name)?));
-        }
-        let path = self.trace_path(&entry.file);
-        match Mmap::open(&path) {
-            Ok(map) => Ok(TraceSource::Mapped(Box::new(MappedTrace::new(map)?))),
-            // Mapping (or the fallback whole-file read) failed — the
-            // chunked buffered reader may still manage.
-            Err(_) => Ok(TraceSource::Buffered(self.reader(name)?)),
-        }
+        MappedTrace::open(self.trace_path(&entry.file))
     }
 
     /// Reads a stored trace fully into memory, validating its CRC.
@@ -682,18 +566,6 @@ mod tests {
         }
         source.finish().expect("crc");
         reader.finish().expect("crc");
-
-        // The env escape hatch forces the buffered path. Same test (not
-        // a separate one) so the set_var cannot race the zero-copy
-        // assertion above under parallel test execution.
-        std::env::set_var(NO_MMAP_ENV, "1");
-        let buffered = corpus.source("t");
-        std::env::remove_var(NO_MMAP_ENV);
-        let buffered = buffered.expect("opens");
-        assert!(!buffered.is_zero_copy());
-        assert!(matches!(buffered, TraceSource::Buffered(_)));
-        let header = buffered.finish().expect("crc");
-        assert_eq!(header.cycles, 3000);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   kernel bit for bit (see `docs/cpa-fft.md`).
 //!
 //! Callers normally let [`spread_spectrum`](crate::spread_spectrum)
-//! resolve the kernel from the pattern's work size; the
-//! `CLOCKMARK_CPA_ALGO` environment variable overrides that choice, and
-//! the campaign engine records the resolved kernel in its spec so resumed
-//! runs replay the same arithmetic regardless of the environment.
+//! resolve the kernel from the pattern's work size; a caller that needs a
+//! particular kernel pins it explicitly, and the campaign engine records
+//! the resolved kernel in its spec so resumed runs replay the same
+//! arithmetic.
 
 use std::fmt;
 use std::str::FromStr;
@@ -42,8 +42,8 @@ impl CpaAlgo {
     /// Every kernel, in reference-first order.
     pub const ALL: [CpaAlgo; 3] = [CpaAlgo::Naive, CpaAlgo::Folded, CpaAlgo::Fft];
 
-    /// The canonical lower-case name, as accepted by
-    /// `CLOCKMARK_CPA_ALGO` and recorded in campaign specs.
+    /// The canonical lower-case name, as accepted by `--algo` and
+    /// recorded in campaign specs.
     pub fn as_str(self) -> &'static str {
         match self {
             CpaAlgo::Naive => "naive",
@@ -90,18 +90,6 @@ impl FromStr for CpaAlgo {
         CpaAlgo::parse(s)
             .ok_or_else(|| format!("unknown CPA algorithm {s:?} (expected naive, folded or fft)"))
     }
-}
-
-/// The kernel forced by the `CLOCKMARK_CPA_ALGO` environment variable,
-/// when set to a recognised name. Unset, empty or unrecognised values
-/// all mean "no override" — detection must never fail because of a typo
-/// in an ambient variable, and the work heuristic is always a safe
-/// fallback.
-pub fn algo_override() -> Option<CpaAlgo> {
-    std::env::var("CLOCKMARK_CPA_ALGO")
-        .ok()
-        .as_deref()
-        .and_then(CpaAlgo::parse)
 }
 
 #[cfg(test)]

@@ -56,15 +56,13 @@ const TRACE_CHUNK: usize = 8192;
 /// How a [`Detector`] resolves its kernel, threading and decision rule.
 ///
 /// The defaults reproduce the historical `spread_spectrum` behaviour
-/// exactly: kernel from the `CLOCKMARK_CPA_ALGO` override else the work
-/// heuristic, threads from [`thread_count`](crate::thread_count) once the
+/// exactly: kernel from the work heuristic, threads from [`thread_count`](crate::thread_count) once the
 /// folded work justifies them, and the strict default
 /// [`DetectionCriterion`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DetectOptions {
-    /// Kernel pinned by the caller; `None` resolves per call (environment
-    /// override, then work heuristic) — the semantics of the legacy
-    /// `spread_spectrum`. The campaign engine pins the kernel recorded in
+    /// Kernel pinned by the caller; `None` resolves per call from the work
+    /// heuristic — the semantics of the legacy `spread_spectrum`. The campaign engine pins the kernel recorded in
     /// its spec here so resumes replay the same arithmetic.
     pub algo: Option<CpaAlgo>,
     /// Worker threads for the batch spectrum; `None` auto-sizes (machine
@@ -166,12 +164,10 @@ impl Detector {
     }
 
     /// The kernel a query issued right now would run: the pinned option if
-    /// set, else the `CLOCKMARK_CPA_ALGO` override, else the work
-    /// heuristic for this pattern.
+    /// set, else the work heuristic for this pattern.
     pub fn resolved_algo(&self) -> CpaAlgo {
         self.options
             .algo
-            .or_else(crate::algo::algo_override)
             .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&self.pattern))
     }
 

@@ -29,8 +29,7 @@
 //! ([`Detector::detect_streaming`]) and chunked-reader
 //! ([`Detector::detect_trace`]) query paths that share one fold and are
 //! bit-identical for the same samples. The kernel resolves automatically
-//! (override with the `CLOCKMARK_CPA_ALGO` environment variable or pin it
-//! via [`DetectOptions::with_algo`]).
+//! from the pattern's work size (pin it via [`DetectOptions::with_algo`]).
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -70,7 +69,7 @@ mod significance;
 mod stats;
 mod streaming;
 
-pub use algo::{algo_override, CpaAlgo};
+pub use algo::CpaAlgo;
 pub use detect::{DetectionCriterion, DetectionResult};
 pub use detector::{
     DetectOptions, Detector, SliceInput, StreamingDetection, TraceDetection, TraceInput,

@@ -301,8 +301,8 @@ impl FoldedTrace {
 // with decisions bit-identical to the naive reference loop (values agree
 // to floating-point accumulation order). The folded sums live in
 // [`FoldedTrace`]; the kernels that consume them are in
-// [`crate::kernel`], and every entry point — kernel choice, threading,
-// environment override — is the [`Detector`](crate::Detector) facade.
+// [`crate::kernel`], and every entry point — kernel choice, threading —
+// is the [`Detector`](crate::Detector) facade.
 
 #[cfg(test)]
 mod tests {

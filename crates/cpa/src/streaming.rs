@@ -38,7 +38,7 @@ pub struct StreamingCpa {
     sum_yy: f64,
     cycles: u64,
     /// Kernel pinned by [`with_algo`](Self::with_algo); `None` resolves
-    /// per query (environment override, then work heuristic).
+    /// per query from the work heuristic.
     algo: Option<CpaAlgo>,
 }
 
@@ -69,11 +69,10 @@ impl StreamingCpa {
         })
     }
 
-    /// Pins the spectrum kernel, overriding both the `CLOCKMARK_CPA_ALGO`
-    /// environment variable and the work heuristic for this detector's
-    /// queries. The campaign engine sets this from the kernel recorded in
-    /// the campaign spec, so resumed runs replay the same arithmetic
-    /// regardless of the resuming process's environment.
+    /// Pins the spectrum kernel, overriding the work heuristic for this
+    /// detector's queries. The campaign engine sets this from the kernel
+    /// recorded in the campaign spec, so resumed runs replay the same
+    /// arithmetic.
     ///
     /// A detector retains no raw trace, so [`CpaAlgo::Naive`] is evaluated
     /// with the (decision-identical) folded arithmetic here.
@@ -140,8 +139,8 @@ impl StreamingCpa {
     /// Computes the current spread spectrum from the accumulated sums.
     ///
     /// The kernel is the one pinned by [`with_algo`](Self::with_algo),
-    /// else the `CLOCKMARK_CPA_ALGO` override, else the work heuristic —
-    /// the same precedence as [`Detector::detect`](crate::Detector::detect).
+    /// else the work heuristic — the same precedence as
+    /// [`Detector::detect`](crate::Detector::detect).
     /// The kernel always runs on the calling thread: streaming detectors
     /// live inside campaign worker threads, which must not nest their own
     /// thread pools.
@@ -161,7 +160,6 @@ impl StreamingCpa {
         }
         let algo = self
             .algo
-            .or_else(crate::algo::algo_override)
             .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&self.pattern));
         let _span = clockmark_obs::span("cpa.streaming_spectrum")
             .field("period", period)
@@ -285,7 +283,6 @@ impl StreamingCpa {
     ) -> Result<crate::Identification, CpaError> {
         let algo = self
             .algo
-            .or_else(crate::algo::algo_override)
             .unwrap_or_else(|| CpaAlgo::resolved_for_pattern(&self.pattern));
         crate::identify::identify_over_fold(
             self.cycles as f64,

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use crate::error::FleetError;
 use crate::hash::Ring;
 use crate::plan::{shard_dir, shard_spec, FleetPlan, ShardPlan};
-use clockmark::campaign::{ResultsLog, FLEET_FILE, PROGRESS_EVERY, REPORT_FILE};
+use clockmark::campaign::{ResultsLog, FLEET_FILE, PROGRESS_EVERY, REPORT_FILE, SPEC_FILE};
 use clockmark::{Campaign, CampaignDir, CampaignProgress, CampaignSpec, JobOutcome};
 use clockmark_corpus::Corpus;
 use clockmark_obs::json::{self, Json};
@@ -263,7 +263,6 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
     // any worker hears about them.
     let (results, landed) = store.open_results(total_jobs)?;
     let landed: BTreeSet<usize> = landed.into_keys().collect();
-    let base = landed.len() as u64;
     let mut done = BTreeSet::new();
     let mut pending = VecDeque::new();
     for shard in &plan.plans {
@@ -271,6 +270,24 @@ pub fn run_fleet(config: &FleetConfig, spec: CampaignSpec) -> Result<FleetSummar
             done.insert(shard.shard_id);
         } else {
             pending.push_back(shard.shard_id);
+        }
+    }
+    // Jobs an earlier run landed in a shard directory but never merged
+    // are not this run's work either: they join the throughput base.
+    let mut base = landed.len() as u64;
+    for shard in plan.plans.iter().filter(|s| !done.contains(&s.shard_id)) {
+        let dir = shard_dir(&config.dir, shard.shard_id);
+        if !CampaignDir::new(&dir).holds(SPEC_FILE) {
+            continue;
+        }
+        for outcome in Campaign::open(&dir)?.completed_outcomes()? {
+            if shard
+                .jobs
+                .get(outcome.index)
+                .is_some_and(|(index, _)| !landed.contains(index))
+            {
+                base += 1;
+            }
         }
     }
 

@@ -13,6 +13,7 @@
 use crate::hash::shard_of_trace;
 use clockmark::CampaignSpec;
 use clockmark_serve::ShardSpec;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// One shard of a fleet campaign: a stable id plus the jobs it covers.
@@ -58,19 +59,19 @@ impl FleetPlan {
     ///
     /// Panics if `shards` is zero (like [`shard_of_trace`]).
     pub fn new(spec: &CampaignSpec, shards: u64) -> Self {
-        let mut buckets: Vec<Vec<(usize, String)>> = vec![Vec::new(); shards as usize];
+        // Keyed by shard id, so only buckets that catch a trace exist:
+        // the shard count may be as large as `u64::MAX`.
+        let mut buckets: BTreeMap<u64, Vec<(usize, String)>> = BTreeMap::new();
         for (index, trace) in spec.traces.iter().enumerate() {
-            let shard = shard_of_trace(trace, shards) as usize;
-            buckets[shard].push((index, trace.clone()));
+            let shard = shard_of_trace(trace, shards);
+            buckets
+                .entry(shard)
+                .or_default()
+                .push((index, trace.clone()));
         }
         let plans = buckets
             .into_iter()
-            .enumerate()
-            .filter(|(_, jobs)| !jobs.is_empty())
-            .map(|(shard_id, jobs)| ShardPlan {
-                shard_id: shard_id as u64,
-                jobs,
-            })
+            .map(|(shard_id, jobs)| ShardPlan { shard_id, jobs })
             .collect();
         FleetPlan { shards, plans }
     }
@@ -145,6 +146,25 @@ mod tests {
                     shard_of_trace(trace, 4),
                     "job sits in its hash bucket"
                 );
+                assert!(!seen[*index], "job {index} appears twice");
+                seen[*index] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every job is planned");
+    }
+
+    #[test]
+    fn a_huge_shard_count_plans_without_allocating_empty_buckets() {
+        // A `fleet.json` holding `1e300` decodes to `u64::MAX` shards.
+        let traces = ["a", "b", "c", "d", "e"];
+        let plan = FleetPlan::new(&spec(&traces), u64::MAX);
+        assert_eq!(plan.shards, u64::MAX);
+        assert_eq!(plan.total_jobs(), traces.len());
+        let mut seen = vec![false; traces.len()];
+        for shard in &plan.plans {
+            for (index, trace) in &shard.jobs {
+                assert_eq!(traces[*index], trace, "global index points at its trace");
+                assert_eq!(shard.shard_id, shard_of_trace(trace, u64::MAX));
                 assert!(!seen[*index], "job {index} appears twice");
                 seen[*index] = true;
             }

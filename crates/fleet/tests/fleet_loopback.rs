@@ -9,7 +9,9 @@
 //! 4. a sequential spec's shards run its schedule, so the merged report
 //!    still matches the single node byte for byte;
 //! 5. a coordinator killed mid-append (a torn merged `results.jsonl`
-//!    tail) resumes to the same bytes.
+//!    tail) resumes to the same bytes;
+//! 6. jobs an earlier run landed in shard directories but never merged
+//!    do not count toward a resumed run's throughput.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -277,6 +279,38 @@ fn a_torn_merged_results_tail_resumes_byte_identically() {
     assert!(
         run_jobs <= 1.0 + 1e-9,
         "jobs/s counts only this run's landings: {progress:?}"
+    );
+    worker.shutdown();
+}
+
+#[test]
+fn a_resumed_fleet_does_not_count_unmerged_shard_jobs_as_its_own() {
+    let dir = TempDir::new("unmerged");
+    let pattern = pattern();
+    let spec = build_fixture(&dir.0, &pattern, 5, 3_000);
+
+    let worker = spawn_worker();
+    let mut config = FleetConfig::new(dir.0.join("fleet"), vec![worker.local_addr().to_string()]);
+    config.shards = 4;
+    config.worker_threads = 1;
+    config.heartbeat_interval = Duration::from_millis(100);
+    run_fleet(&config, spec.clone()).expect("fleet completes");
+
+    // What a coordinator killed before merging leaves: every job landed
+    // in its shard directory, nothing merged.
+    fs::remove_file(config.dir.join("results.jsonl")).expect("removes merged results");
+    fs::remove_file(config.dir.join("report.json")).expect("removes the report");
+
+    let summary = run_fleet(&config, spec).expect("resumed fleet completes");
+    assert_eq!(summary.merged_jobs, 6);
+    let progress = CampaignDir::new(&config.dir)
+        .read_progress()
+        .expect("fleet progress.json decodes");
+    assert_eq!((progress.done, progress.total), (6, 6));
+    let run_jobs = progress.jobs_per_sec * progress.elapsed_ms as f64 / 1e3;
+    assert!(
+        run_jobs < 0.5,
+        "the shards landed every job before this run: {progress:?}"
     );
     worker.shutdown();
 }

@@ -64,11 +64,10 @@
 //! event-loop thread watches every connected session and a small
 //! worker pool ([`ServeLimits::workers`]) services only the sessions
 //! with bytes waiting, so thousands of mostly-idle sessions cost one
-//! file descriptor each and zero threads. Elsewhere — or with
-//! `CLOCKMARK_SERVE_BLOCKING=1` — the original thread-per-connection
-//! engine serves instead. The wire behaviour of both engines is
-//! identical; only the `registered`/`readable` fields of
-//! [`ServerStatus`] tell them apart.
+//! file descriptor each and zero threads. Elsewhere the
+//! thread-per-connection engine is the only engine. The wire behaviour
+//! of both engines is identical; only the `registered`/`readable` fields
+//! of [`ServerStatus`] tell them apart.
 //!
 //! The `poll(2)` and `RLIMIT_NOFILE` prototypes live in one scoped
 //! `allow(unsafe_code)` FFI module (`poll::sys`), mirroring the

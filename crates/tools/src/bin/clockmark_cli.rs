@@ -3,14 +3,14 @@
 
 use clockmark::ChipModel;
 use clockmark_tools::args::Args;
-use clockmark_tools::commands::{
-    cmd_attack, cmd_detect, cmd_embed, cmd_experiment, cmd_metrics, cmd_metrics_collapse,
-    cmd_parse, cmd_simulate, cmd_verilog, ArchChoice, EmbedOptions,
-};
-use clockmark_tools::fleet::{
+use clockmark_tools::campaign_cmd::{
     cmd_campaign_resume, cmd_campaign_run, cmd_campaign_status, cmd_corpus_build,
     cmd_corpus_convert, cmd_corpus_ls, cmd_corpus_verify, parse_chip_list, parse_seed_list,
     CampaignCreateOptions, CampaignRunOptions, CorpusBuildOptions,
+};
+use clockmark_tools::commands::{
+    cmd_attack, cmd_detect, cmd_embed, cmd_experiment, cmd_metrics, cmd_metrics_collapse,
+    cmd_parse, cmd_simulate, cmd_verilog, ArchChoice, EmbedOptions,
 };
 use clockmark_tools::fleet_cmd::{
     cmd_fleet_run, cmd_fleet_serve, cmd_fleet_status, parse_worker_list, FleetRunOptions,
@@ -55,10 +55,10 @@ USAGE:
                  [--chunk-cycles N] [--algo naive|folded|fft]
                  [--sequential [--seq-base N] [--seq-growth F] [--seq-confidence P]
                   [--seq-min-cycles N] [--seq-max-cycles N]]
-                 [--threads N] [--max-jobs N] [--no-mmap]
+                 [--threads N] [--max-jobs N]
   clockmark-cli campaign run <dir> --scenarios <scenarios.json>
-                 [--threads N] [--max-jobs N] [--no-mmap]
-  clockmark-cli campaign resume <dir> [--threads N] [--max-jobs N] [--no-mmap]
+                 [--threads N] [--max-jobs N]
+  clockmark-cli campaign resume <dir> [--threads N] [--max-jobs N]
   clockmark-cli campaign status <dir>
   clockmark-cli scenario report <dir>
   clockmark-cli scenario template --out <scenarios.json> --corpus <dir>
@@ -190,7 +190,6 @@ fn campaign_run_options(args: &mut Args) -> Result<CampaignRunOptions, ToolError
             .map(|v| v.parse())
             .transpose()
             .map_err(|_| ToolError::Usage("--max-jobs: not a number".to_owned()))?,
-        no_mmap: args.flag("--no-mmap"),
     })
 }
 

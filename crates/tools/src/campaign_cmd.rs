@@ -339,10 +339,6 @@ pub struct CampaignRunOptions {
     pub threads: usize,
     /// Stop after at most this many jobs this invocation.
     pub max_jobs: Option<usize>,
-    /// Force buffered trace reads instead of memory-mapping (sets
-    /// `CLOCKMARK_NO_MMAP` for this process; verdicts are bit-identical
-    /// either way).
-    pub no_mmap: bool,
 }
 
 impl CampaignRunOptions {
@@ -354,9 +350,6 @@ impl CampaignRunOptions {
     }
 
     fn apply(self, campaign: Campaign) -> Campaign {
-        if self.no_mmap {
-            std::env::set_var(clockmark::corpus::NO_MMAP_ENV, "1");
-        }
         if self.threads > 0 {
             campaign.with_threads(self.threads)
         } else {
@@ -381,8 +374,8 @@ pub struct CampaignCreateOptions {
     /// fixed-budget jobs. Persisted into `campaign.json`, so a resume
     /// replays the same schedule without re-passing the flags.
     pub sequential: Option<clockmark_cpa::SequentialOptions>,
-    /// Spectrum kernel override; `None` resolves from `CLOCKMARK_CPA_ALGO`
-    /// or the work heuristic and is then pinned in the spec.
+    /// Spectrum kernel override; `None` resolves from the work heuristic
+    /// and is then pinned in the spec.
     pub algo: Option<CpaAlgo>,
 }
 

@@ -15,8 +15,8 @@
 //!   status` shows, fed by the aggregated `progress.json` the
 //!   coordinator publishes.
 
+use crate::campaign_cmd::{render_report, CampaignCreateOptions};
 use crate::commands::PatternSpec;
-use crate::fleet::{render_report, CampaignCreateOptions};
 use crate::serve_cmd::ServeOptions;
 use crate::ToolError;
 use clockmark::Campaign;
@@ -156,13 +156,13 @@ pub fn cmd_fleet_run(
 ///
 /// Returns store failures (missing or malformed fleet directory).
 pub fn cmd_fleet_status(dir: &Path) -> Result<String, ToolError> {
-    crate::fleet::render_status("fleet", dir)
+    crate::campaign_cmd::render_status("fleet", dir)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{
+    use crate::campaign_cmd::{
         cmd_campaign_run, cmd_corpus_build, CampaignRunOptions, CorpusBuildOptions,
     };
     use clockmark_serve::{ServeLimits, ServerHandle};

@@ -24,9 +24,9 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod campaign_cmd;
 pub mod commands;
 mod error;
-pub mod fleet;
 pub mod fleet_cmd;
 pub mod opts;
 pub mod scenario_cmd;

@@ -10,8 +10,8 @@
 //! here. `scenario report <dir>` renders the merged report as a matrix
 //! table.
 
+use crate::campaign_cmd::CampaignRunOptions;
 use crate::commands::PatternSpec;
-use crate::fleet::CampaignRunOptions;
 use crate::ToolError;
 use clockmark::campaign::{MATRIX_FILE, REPORT_FILE};
 use clockmark::corpus::Corpus;
@@ -26,9 +26,6 @@ pub fn is_scenario_dir(dir: &Path) -> bool {
 }
 
 fn apply(options: CampaignRunOptions, campaign: ScenarioCampaign) -> ScenarioCampaign {
-    if options.no_mmap {
-        std::env::set_var(clockmark::corpus::NO_MMAP_ENV, "1");
-    }
     if options.threads > 0 {
         campaign.with_threads(options.threads)
     } else {
